@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "graph/generators.hpp"
 #include "harness/experiment.hpp"
@@ -14,11 +16,6 @@
 
 namespace mtm {
 namespace {
-
-struct ConvergenceCase {
-  const char* topology;
-  Round tau;  // 0 = static
-};
 
 Graph build_topology(const std::string& name) {
   if (name == "clique") return make_clique(12);
@@ -36,8 +33,12 @@ Graph build_topology(const std::string& name) {
   return make_clique(2);
 }
 
+// The topology axis is a std::string, not a const char*: gtest prints a
+// string parameter by value but a pointer by address, and ctest names the
+// tests after the printed parameters, so a pointer would rename them on
+// every build.
 class LeaderConvergence
-    : public ::testing::TestWithParam<std::tuple<int, const char*, Round>> {};
+    : public ::testing::TestWithParam<std::tuple<int, std::string, Round>> {};
 
 TEST_P(LeaderConvergence, StabilizesToGlobalMinimum) {
   const auto [algo_index, topo_name, tau] = GetParam();
@@ -84,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(Round{1}, Round{4})));
 
 class RumorConvergence
-    : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 
 TEST_P(RumorConvergence, InformsEveryone) {
   const auto [algo_index, topo_name] = GetParam();
