@@ -178,7 +178,7 @@ BENCHMARK(BM_EnginePhaseBreakdown)
 // BM_EngineScaling measures raw round-engine throughput (blind gossip on a
 // random-regular graph, degree 8) at n = 10^4 / 10^5 / 10^6 — and 10^7 when
 // $MTM_BENCH_HUGE is set, the point being too slow to build for every run —
-// with intra_round_threads = 1 and = max. Each point lands in the bench
+// with scheduler.threads = 1 and = max. Each point lands in the bench
 // JSON twice: as a series point whose `predicted` column is the seed
 // engine's throughput at the same n (so the measured/predicted ratio IS the
 // speedup vs seed), and as a row of extra["engine_scaling"] carrying
@@ -240,7 +240,7 @@ void BM_EngineScaling(benchmark::State& state) {
     BlindGossip proto(BlindGossip::shuffled_uids(n, kSeed));
     EngineConfig cfg;
     cfg.seed = kSeed;
-    cfg.intra_round_threads = threads;
+    cfg.scheduler.threads = threads;
     Engine engine(topo, proto, cfg);
     shards = engine.shard_count();
     engine.run_rounds(warmup);

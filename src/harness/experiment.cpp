@@ -150,7 +150,6 @@ RunResult run_leader_trial(const LeaderExperiment& spec, std::uint64_t seed,
   cfg.activation_rounds = spec.activation_rounds;
   cfg.connection_failure_prob = spec.controls.connection_failure_prob;
   cfg.scheduler = spec.controls.scheduler;
-  cfg.intra_round_threads = spec.controls.engine_threads;
   if (spec.controls.faults.enabled())
     cfg.faults = trial_faults(spec.controls.faults, seed);
   if (spec.byzantine.enabled())
@@ -222,7 +221,6 @@ RunResult run_rumor_trial(const RumorExperiment& spec, std::uint64_t seed,
   cfg.seed = seed;
   cfg.connection_failure_prob = spec.controls.connection_failure_prob;
   cfg.scheduler = spec.controls.scheduler;
-  cfg.intra_round_threads = spec.controls.engine_threads;
   if (spec.controls.faults.enabled())
     cfg.faults = trial_faults(spec.controls.faults, seed);
   std::unique_ptr<Scheduler> engine = make_scheduler(*topology, *protocol, cfg);

@@ -13,7 +13,7 @@
 // detaching a profile cannot change any simulation result.
 //
 // PhaseProfile is not thread-safe: use one profile per writer. A sharded
-// engine (EngineConfig::intra_round_threads > 1) keeps one private profile
+// engine (EngineConfig::scheduler.threads > 1) keeps one private profile
 // per shard for the per-node scan/decide timers and merges them into the
 // attached profile at phase barriers, so parallel totals are summed CPU
 // time while coordinator-level phases remain wall time (see
@@ -37,7 +37,7 @@ enum class Phase : std::uint8_t {
   kExchange, ///< payload exchange over established connections
   kFinish,   ///< end-of-round protocol hooks
   // Sharded-execution phases, recorded only when the engine runs with
-  // intra-round parallelism (EngineConfig::intra_round_threads > 1); both
+  // intra-round parallelism (EngineConfig::scheduler.threads > 1); both
   // stay zero in sequential runs, where their work is billed to kResolve
   // exactly as before.
   kShardBuild,   ///< engine.shard.build — deterministic CSR inbox assembly

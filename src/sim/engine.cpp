@@ -9,36 +9,13 @@
 
 namespace mtm {
 
-EngineConfig normalize_scheduler_spec(EngineConfig config) {
-  // Deprecation shim: intra_round_threads was the pre-split way to request
-  // intra-round sharding. Fold it into the one authoritative knob
-  // (scheduler.threads); after normalization both fields mirror the
-  // resolved value so config echoes stay consistent.
-  const bool legacy_set = config.intra_round_threads != 1;
-  const bool spec_set = config.scheduler.threads != 1;
-  if (legacy_set && spec_set &&
-      config.intra_round_threads != config.scheduler.threads) {
-    throw std::invalid_argument(
-        "conflicting execution-thread settings: intra_round_threads=" +
-        std::to_string(config.intra_round_threads) +
-        " vs scheduler.threads=" + std::to_string(config.scheduler.threads) +
-        " (intra_round_threads is a deprecated alias; set only "
-        "scheduler.threads)");
-  }
-  const std::size_t resolved =
-      legacy_set ? config.intra_round_threads : config.scheduler.threads;
-  config.scheduler.threads = resolved;
-  config.intra_round_threads = resolved;
-  validate(config.scheduler);
-  return config;
-}
-
 Engine::Engine(DynamicGraphProvider& topology, Protocol& protocol,
                EngineConfig config)
     : topology_(topology),
       protocol_(protocol),
-      config_(normalize_scheduler_spec(std::move(config))),
+      config_(std::move(config)),
       node_count_(topology.node_count()) {
+  validate(config_.scheduler);
   MTM_REQUIRE_MSG(config_.scheduler.kind == SchedulerKind::kSync,
                   "Engine is the synchronous scheduler; use make_scheduler() "
                   "to construct the scheduler kind the config selects");

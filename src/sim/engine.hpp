@@ -129,18 +129,7 @@ struct EngineConfig {
   /// Protocol::parallel_phases_safe(); otherwise the engine silently runs
   /// sequentially (check shard_count()).
   SchedulerSpec scheduler;
-  /// Deprecated alias for scheduler.threads, kept so pre-split callers
-  /// keep compiling: a non-default value folds into scheduler.threads at
-  /// construction (setting both to different values is rejected). New code
-  /// must use scheduler.threads; this field will be removed.
-  std::size_t intra_round_threads = 1;
 };
-
-/// Folds the deprecated intra_round_threads shim into config.scheduler and
-/// validates the spec. Returns the normalized config (both thread fields
-/// mirror the resolved value). Throws std::invalid_argument when the two
-/// fields are set to conflicting values.
-EngineConfig normalize_scheduler_spec(EngineConfig config);
 
 class Engine : public Scheduler {
  public:

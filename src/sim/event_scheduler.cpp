@@ -32,8 +32,9 @@ EventScheduler::EventScheduler(DynamicGraphProvider& topology,
                                Protocol& protocol, EngineConfig config)
     : topology_(topology),
       protocol_(protocol),
-      config_(normalize_scheduler_spec(std::move(config))),
+      config_(std::move(config)),
       node_count_(topology.node_count()) {
+  validate(config_.scheduler);
   MTM_REQUIRE_MSG(config_.scheduler.kind == SchedulerKind::kEvent,
                   "EventScheduler requires SchedulerKind::kEvent; use "
                   "make_scheduler() to dispatch on the config");

@@ -456,7 +456,6 @@ const char* scheduler_flags_help() {
   --scheduler-threads=T  sync mode: shard each round across T worker
                     threads (0 = one per hardware thread; results are
                     bit-identical at any value)                 [default 1]
-  --engine-threads=T     deprecated alias for --scheduler-threads
   --latency-dist=D  event mode: per-edge delivery latency distribution:
                     constant | uniform | exponential        [default constant]
   --latency-mean=L  event mode: mean delivery latency in round
@@ -469,18 +468,9 @@ const char* scheduler_flags_help() {
 SchedulerSpec parse_scheduler_flags(const CliArgs& args) {
   SchedulerSpec spec;
   spec.kind = parse_scheduler_kind(args.get_string("scheduler", "sync"));
-  if (args.has("engine-threads") && args.has("scheduler-threads")) {
-    throw std::invalid_argument(
-        "--engine-threads is a deprecated alias for --scheduler-threads; "
-        "set only one of them");
-  }
-  const bool threads_set =
-      args.has("scheduler-threads") || args.has("engine-threads");
-  const std::uint64_t threads = args.has("scheduler-threads")
-                                    ? args.get_u64("scheduler-threads", 1)
-                                    : args.get_u64("engine-threads", 1);
+  const std::uint64_t threads = args.get_u64("scheduler-threads", 1);
   if (spec.kind == SchedulerKind::kEvent) {
-    if (threads_set && threads != 1) {
+    if (threads != 1) {
       throw std::invalid_argument(
           "--scheduler-threads does not apply to --scheduler=event (the "
           "event scheduler is inherently sequential)");

@@ -224,15 +224,12 @@ const char* scheduler_flags_help();
 
 /// Consumes the shared scheduler flags (--scheduler=sync|event,
 /// --scheduler-threads, --latency-dist, --latency-mean, --clock-drift) and
-/// returns a validated SchedulerSpec. --engine-threads is accepted as a
-/// deprecated alias for --scheduler-threads. Contradictions are rejected
-/// with a one-line std::invalid_argument: --latency-dist/--latency-mean/
+/// returns a validated SchedulerSpec. Contradictions are rejected with a
+/// one-line std::invalid_argument: --latency-dist/--latency-mean/
 /// --clock-drift without --scheduler=event (the sync round loop delivers
 /// everything within the round), --scheduler-threads with --scheduler=event
-/// (the event scheduler is sequential), --latency-dist without a nonzero
-/// --latency-mean (the distribution would never be sampled), and
-/// --engine-threads together with --scheduler-threads (one knob, one
-/// spelling).
+/// (the event scheduler is sequential), and --latency-dist without a
+/// nonzero --latency-mean (the distribution would never be sampled).
 SchedulerSpec parse_scheduler_flags(const CliArgs& args);
 
 }  // namespace mtm

@@ -92,10 +92,6 @@ struct TrialControls {
   /// results are bit-identical at any value); it composes with `threads`,
   /// so keep the product within the machine.
   SchedulerSpec scheduler;
-  /// Deprecated alias for scheduler.threads (the pre-split spelling); a
-  /// non-default value folds into the spec via normalize_scheduler_spec.
-  /// Setting both to different values is rejected at engine construction.
-  std::size_t engine_threads = 1;
   /// Failure injection passthrough (see EngineConfig).
   double connection_failure_prob = 0.0;
   /// Fault plan passthrough (see sim/faults.hpp). The per-trial plan seed

@@ -70,7 +70,7 @@ LatencyDist parse_latency_dist(std::string_view text) {
 std::unique_ptr<Scheduler> make_scheduler(DynamicGraphProvider& topology,
                                           Protocol& protocol,
                                           EngineConfig config) {
-  config = normalize_scheduler_spec(std::move(config));
+  validate(config.scheduler);
   switch (config.scheduler.kind) {
     case SchedulerKind::kSync:
       return std::make_unique<Engine>(topology, protocol, std::move(config));

@@ -22,10 +22,8 @@
 //
 // Construction goes through make_scheduler(), which dispatches on
 // EngineConfig::scheduler (a SchedulerSpec). SchedulerSpec is also the one
-// place execution parallelism is configured: the old
-// EngineConfig::intra_round_threads / TrialControls.engine_threads /
-// --engine-threads plumbing survives only as deprecated shims that fold
-// into SchedulerSpec::threads.
+// place execution parallelism is configured (SchedulerSpec::threads, set
+// from TrialControls::scheduler and --scheduler-threads).
 #pragma once
 
 #include <cstddef>
@@ -72,9 +70,8 @@ enum class LatencyDist : std::uint8_t {
 struct SchedulerSpec {
   SchedulerKind kind = SchedulerKind::kSync;
   /// Execution parallelism. Sync mode: intra-round shard count (1 =
-  /// sequential, 0 = one shard per hardware thread; see
-  /// EngineConfig::intra_round_threads history). Event mode is inherently
-  /// sequential and requires 1.
+  /// sequential, 0 = one shard per hardware thread). Event mode is
+  /// inherently sequential and requires 1.
   std::size_t threads = 1;
   /// Event mode only: per-edge delivery latency distribution and its mean
   /// in round periods. latency_mean = 0 with kConstant degrades to
@@ -149,8 +146,7 @@ class Scheduler {
 };
 
 /// Builds the scheduler selected by config.scheduler.kind. `topology` and
-/// `protocol` must outlive the returned scheduler. Validates the spec and
-/// folds the deprecated intra_round_threads shim into it.
+/// `protocol` must outlive the returned scheduler. Validates the spec.
 std::unique_ptr<Scheduler> make_scheduler(DynamicGraphProvider& topology,
                                           Protocol& protocol,
                                           EngineConfig config);

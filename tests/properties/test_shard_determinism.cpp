@@ -6,7 +6,7 @@
 // the sequential cross-shard reduction. That is the whole determinism
 // argument, and it makes "same seed, any shard count" a testable property:
 // the execution fingerprint below must be identical for every value of
-// intra_round_threads, including 0 (auto = one shard per hardware thread,
+// scheduler.threads, including 0 (auto = one shard per hardware thread,
 // whatever the host has).
 //
 // The literal fingerprints at the bottom pin the derivation across
@@ -46,7 +46,7 @@ std::uint64_t execution_fingerprint(std::uint64_t seed, std::size_t threads) {
   config.seed = seed;
   config.connection_failure_prob = 0.1;
   config.record_rounds = true;
-  config.intra_round_threads = threads;
+  config.scheduler.threads = threads;
   Engine engine(topology, protocol, config);
   engine.run_rounds(kRounds);
 

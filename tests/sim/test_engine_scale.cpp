@@ -69,7 +69,7 @@ TEST(EngineScale, LargeShardedSmoke) {
     BlindGossip protocol(BlindGossip::shuffled_uids(kN, 0xb16));
     EngineConfig config;
     config.seed = 0xb16;
-    config.intra_round_threads = threads;
+    config.scheduler.threads = threads;
     Engine engine(topology, protocol, config);
     engine.run_rounds(6);
     return std::pair{engine.telemetry().connections(),

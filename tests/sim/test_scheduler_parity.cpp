@@ -4,10 +4,9 @@
 // The split's contract is that the sync path did not move: a scheduler
 // built through make_scheduler() with the default (sync) spec IS the
 // pre-split Engine, so every golden, trace, and fingerprint is reproduced
-// byte-identically by construction. These tests pin that — plus the
-// deprecation fold of the old intra_round_threads/engine_threads plumbing
-// and the CLI contradiction rejections — so the one-way-to-configure
-// invariant cannot silently regress.
+// byte-identically by construction. These tests pin that — plus the spec
+// validation and the CLI contradiction rejections — so the
+// one-way-to-configure invariant cannot silently regress.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -16,7 +15,6 @@
 
 #include "core/cli.hpp"
 #include "graph/generators.hpp"
-#include "harness/experiment.hpp"
 #include "protocols/blind_gossip.hpp"
 #include "protocols/classical.hpp"
 #include "sim/engine.hpp"
@@ -102,32 +100,6 @@ TEST(SchedulerParity, ClassicalModeParity) {
   EXPECT_EQ(run_fingerprint(engine, 32), run_fingerprint(*scheduler, 32));
 }
 
-TEST(SchedulerSpec, LegacyThreadsFoldIntoSpec) {
-  EngineConfig cfg;
-  cfg.intra_round_threads = 4;
-  const EngineConfig normalized = normalize_scheduler_spec(cfg);
-  EXPECT_EQ(normalized.scheduler.threads, 4u);
-  EXPECT_EQ(normalized.intra_round_threads, 4u);
-}
-
-TEST(SchedulerSpec, SpecThreadsMirrorIntoLegacyField) {
-  EngineConfig cfg;
-  cfg.scheduler.threads = 3;
-  const EngineConfig normalized = normalize_scheduler_spec(cfg);
-  EXPECT_EQ(normalized.scheduler.threads, 3u);
-  EXPECT_EQ(normalized.intra_round_threads, 3u);
-}
-
-TEST(SchedulerSpec, ConflictingThreadKnobsRejected) {
-  EngineConfig cfg;
-  cfg.intra_round_threads = 4;
-  cfg.scheduler.threads = 2;
-  EXPECT_THROW(normalize_scheduler_spec(cfg), std::invalid_argument);
-  // Agreeing values are not a conflict.
-  cfg.scheduler.threads = 4;
-  EXPECT_EQ(normalize_scheduler_spec(cfg).scheduler.threads, 4u);
-}
-
 TEST(SchedulerSpec, ValidateRejectsContradictorySpecs) {
   SchedulerSpec sync;
   sync.latency_mean = 1.0;
@@ -165,29 +137,6 @@ TEST(SchedulerSpec, EngineRequiresSyncKindEventSchedulerRequiresEvent) {
   }
 }
 
-TEST(SchedulerSpec, TrialControlsEngineThreadsAliasMatchesSpec) {
-  const Graph g = make_clique(8);
-  LeaderExperiment legacy;
-  legacy.algo = LeaderAlgo::kBlindGossip;
-  legacy.node_count = g.node_count();
-  legacy.topology = static_topology(g);
-  legacy.controls.max_rounds = 1u << 16;
-  legacy.controls.trials = 2;
-  legacy.controls.seed = 5;
-
-  LeaderExperiment spec = legacy;
-  legacy.controls.engine_threads = 2;   // deprecated spelling
-  spec.controls.scheduler.threads = 2;  // the one true knob
-
-  const auto a = run_leader_experiment(legacy);
-  const auto b = run_leader_experiment(spec);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].rounds, b[i].rounds);
-    EXPECT_EQ(a[i].connections, b[i].connections);
-  }
-}
-
 TEST(SchedulerCli, ParsesEventFlags) {
   const SchedulerSpec spec = parse_scheduler_flags(
       make_args({"--scheduler=event", "--latency-dist=exponential",
@@ -201,17 +150,11 @@ TEST(SchedulerCli, ParsesEventFlags) {
 
 TEST(SchedulerCli, DefaultIsSyncAndEngineThreadsStillWorks) {
   EXPECT_EQ(parse_scheduler_flags(make_args({})).kind, SchedulerKind::kSync);
-  EXPECT_EQ(parse_scheduler_flags(make_args({"--engine-threads=4"})).threads,
-            4u);
   EXPECT_EQ(parse_scheduler_flags(make_args({"--scheduler-threads=4"})).threads,
             4u);
 }
 
 TEST(SchedulerCli, ContradictionsRejected) {
-  // Two spellings of the same knob.
-  EXPECT_THROW(parse_scheduler_flags(make_args(
-                   {"--engine-threads=2", "--scheduler-threads=2"})),
-               std::invalid_argument);
   // Event-only flags without --scheduler=event.
   EXPECT_THROW(parse_scheduler_flags(make_args({"--latency-mean=0.5"})),
                std::invalid_argument);

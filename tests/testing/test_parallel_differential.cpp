@@ -1,6 +1,6 @@
 // Parallel differential parity: the sharded engine vs the ReferenceEngine.
 //
-// The engine's intra-round sharding (EngineConfig::intra_round_threads)
+// The engine's intra-round sharding (EngineConfig::scheduler.threads)
 // promises results bit-identical to the sequential execution at every
 // thread count, because per-node RNG streams ARE the shard streams and
 // everything order-sensitive runs in the sequential cross-shard reduction.
@@ -40,7 +40,7 @@ constexpr Round kRounds = 64;
 struct ParityCase {
   std::string name;
   std::function<std::unique_ptr<Protocol>()> make_protocol;
-  EngineConfig config;  // intra_round_threads is overridden per run
+  EngineConfig config;  // scheduler.threads is overridden per run
 };
 
 Graph shared_topology() {
@@ -145,7 +145,7 @@ void expect_lockstep_parity(const ParityCase& parity_case,
   StaticGraphProvider opt_topology(topology);
 
   EngineConfig opt_config = parity_case.config;
-  opt_config.intra_round_threads = threads;
+  opt_config.scheduler.threads = threads;
   ReferenceEngine reference(ref_topology, *ref_protocol, parity_case.config);
   Engine engine(opt_topology, *opt_protocol, opt_config);
   if (threads > 1) {
@@ -188,7 +188,7 @@ TEST(ParallelDifferential, ShardedEngineMatchesReferenceAcrossThreadCounts) {
 }
 
 TEST(ParallelDifferential, AutoThreadCountIsStillBitIdentical) {
-  // intra_round_threads = 0 picks one shard per hardware thread — whatever
+  // scheduler.threads = 0 picks one shard per hardware thread — whatever
   // that is on the host, results must not move.
   const Graph topology = shared_topology();
   ParityCase parity_case = parity_cases().front();
@@ -203,7 +203,7 @@ TEST(ParallelDifferential, OrderSensitiveDecoratorForcesSequentialFallback) {
   RecordingProtocol recorder(inner);
   StaticGraphProvider topology(shared_topology());
   EngineConfig config;
-  config.intra_round_threads = 8;
+  config.scheduler.threads = 8;
   Engine engine(topology, recorder, config);
   EXPECT_EQ(engine.shard_count(), 1u);
   engine.run_rounds(4);
