@@ -18,6 +18,7 @@
 #include <map>
 #include <random>
 #include <set>
+#include <stop_token>
 #include <thread>
 #include <tuple>
 
@@ -35,6 +36,19 @@ std::uint64_t steady_now_ms() {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// A fresh worker session id. Ids must be unique across worker processes
+/// and restarts of the same machine; pid + wall-progress + entropy mixed
+/// through derive_seed.
+std::uint64_t mint_session() {
+  std::random_device rd;
+  std::uint64_t session = derive_seed(
+      static_cast<std::uint64_t>(::getpid()),
+      {steady_now_ms(),
+       (static_cast<std::uint64_t>(rd()) << 32) ^ static_cast<std::uint64_t>(rd())});
+  if (session == 0) session = 1;
+  return session;
 }
 
 }  // namespace
@@ -74,14 +88,8 @@ std::string encode_fabric_message(const FabricMessage& message) {
   if (!message.record.empty()) {
     doc.set("record", obs::JsonValue::string(message.record));
   }
-  // mtm-fabric/2 fields are omitted at their defaults, so a legacy-shaped
-  // message encodes to the same keys /1 used (plus the schema bump).
-  if (message.session != 0) {
-    doc.set("session", obs::JsonValue::unsigned_number(message.session));
-  }
-  if (message.seq != 0) {
-    doc.set("seq", obs::JsonValue::unsigned_number(message.seq));
-  }
+  doc.set("session", obs::JsonValue::unsigned_number(message.session));
+  doc.set("seq", obs::JsonValue::unsigned_number(message.seq));
   if (!message.fingerprint.empty()) {
     doc.set("fingerprint", obs::JsonValue::string(message.fingerprint));
   }
@@ -98,8 +106,7 @@ FabricMessage parse_fabric_message(const std::string& line) {
   if (!doc.is_object()) throw FabricError("fabric message is not an object");
   const obs::JsonValue* schema = doc.find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      (schema->as_string() != kFabricSchemaVersion &&
-       schema->as_string() != kFabricSchemaVersionLegacy)) {
+      schema->as_string() != kFabricSchemaVersion) {
     throw FabricError("fabric message schema mismatch");
   }
   const obs::JsonValue* type = doc.find("type");
@@ -296,35 +303,34 @@ bool file_exists(const std::string& path) {
 
 }  // namespace
 
-namespace {
-
-int run_fabric_worker_impl(std::shared_ptr<Transport> initial,
-                           const std::vector<SweepPoint>& points,
-                           const obs::RunManifest& manifest,
-                           const FabricOptions& options,
-                           std::size_t worker_index, FabricWorkerNet* net) {
+int run_fabric_worker(std::unique_ptr<Transport> transport,
+                      const std::vector<SweepPoint>& points,
+                      const obs::RunManifest& manifest,
+                      const FabricOptions& options,
+                      FabricWorkerSession& session) {
+  MTM_REQUIRE(transport != nullptr);
   const ResilienceOptions& resilience = options.resilience;
-  const std::uint64_t session = net != nullptr ? net->session : 0;
+  const std::string fingerprint =
+      obs::manifest_fingerprint(manifest.to_json());
 
-  // The link: the transport currently carrying the session. On a fork
-  // fabric it is fixed for life; a network worker swaps in a fresh
-  // connection on send failure or EOF (reconnect + re-hello + replay).
-  // shared_ptr so the receive loop can keep polling a snapshot while the
-  // heartbeat thread is mid-reconnect.
+  // The link: the transport currently carrying the session. A socketpair
+  // worker keeps it for life; a TCP worker swaps in a fresh connection on
+  // send failure or EOF (reconnect + re-hello + replay). shared_ptr so the
+  // receive loop can keep polling a snapshot while the heartbeat thread is
+  // mid-reconnect.
   std::mutex link_mutex;
-  std::shared_ptr<Transport> link = std::move(initial);
-  bool link_dead = false;       // reconnect exhausted: coordinator vanished
-  bool welcomed = session == 0; // v2 waits for the coordinator's welcome
+  std::shared_ptr<Transport> link(std::move(transport));
+  bool link_dead = false;       // coordinator vanished or unreachable
+  bool welcomed = false;        // re-hello until the coordinator's welcome
   std::uint64_t out_seq = 0;    // per-connection, freshly stamped per send
-  std::size_t index = worker_index;
+  std::uint64_t index = 0;      // slot index, adopted from the welcome
   std::vector<FabricMessage> replay;  // current lease's unretired results
 
   std::optional<TrialJournal> shard;
   const auto open_shard = [&] {
-    // Index may be adopted from the welcome (network workers), so the shard
-    // opens lazily the moment the index is known.
+    // The slot index names the shard, so it opens at the first welcome.
     if (shard.has_value() || !options.worker_shards ||
-        resilience.journal_path.empty() || index == kUnassignedWorker) {
+        resilience.journal_path.empty()) {
       return;
     }
     const std::string shard_path =
@@ -339,7 +345,6 @@ int run_fabric_worker_impl(std::shared_ptr<Transport> initial,
                                    resilience.journal_fsync);
     }
   };
-  open_shard();
 
   TrialWatchdog watchdog(
       WatchdogOptions{resilience.trial_deadline_ms, /*poll_ms=*/5});
@@ -350,9 +355,9 @@ int run_fabric_worker_impl(std::shared_ptr<Transport> initial,
     // link_mutex held by caller. Session/seq are stamped at TRANSMISSION
     // time — a replayed result gets a fresh seq, so the receiver's window
     // only ever discards wire duplicates, never legitimate replays.
-    msg.worker = index == kUnassignedWorker ? 0 : index;
-    msg.session = session;
-    msg.seq = session != 0 ? ++out_seq : 0;
+    msg.worker = index;
+    msg.session = session.id;
+    msg.seq = ++out_seq;
     msg.sent_ms = steady_now_ms();
     return link->send_line(encode_fabric_message(msg));
   };
@@ -360,7 +365,7 @@ int run_fabric_worker_impl(std::shared_ptr<Transport> initial,
   const auto make_hello = [&] {
     FabricMessage hello;
     hello.type = FabricMessage::Type::kHello;
-    if (net != nullptr) hello.fingerprint = net->fingerprint;
+    hello.fingerprint = fingerprint;
     return hello;
   };
 
@@ -368,18 +373,14 @@ int run_fabric_worker_impl(std::shared_ptr<Transport> initial,
   // schedule), re-hellos with the session id, and replays the current
   // lease's results. link_mutex held. False = coordinator unreachable.
   const auto reconnect_locked = [&]() -> bool {
-    if (net == nullptr || !net->reconnect || session == 0) {
-      link_dead = true;
-      return false;
-    }
-    while (net->reconnects < net->max_reconnects) {
+    while (session.reconnect && session.reconnects < session.max_reconnects) {
       link->sever();
-      std::unique_ptr<Transport> fresh = net->reconnect();
+      std::unique_ptr<Transport> fresh = session.reconnect();
       if (fresh == nullptr) break;
       link = std::shared_ptr<Transport>(std::move(fresh));
       out_seq = 0;
       welcomed = false;
-      ++net->reconnects;
+      ++session.reconnects;
       if (!raw_send(make_hello())) continue;  // stillborn connection: redial
       bool ok = true;
       for (const FabricMessage& m : replay) {
@@ -405,31 +406,28 @@ int run_fabric_worker_impl(std::shared_ptr<Transport> initial,
 
   send_msg(make_hello(), /*replayable=*/false);
 
-  // The heartbeat thread renews whichever lease the trial loop is currently
-  // executing. A fork-fabric worker stays quiet between leases (the /1
-  // contract tests rely on); a session worker beats unconditionally — the
-  // leaseless beat is the liveness keepalive that proves a quiet TCP peer
-  // is not half-open — and re-hellos instead while its welcome is missing
-  // (a wire-dropped hello would otherwise strand it forever).
-  struct {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool stop = false;
-    std::uint64_t lease = 0;
-  } hb;
+  // The heartbeat thread beats every heartbeat period, with or without a
+  // lease: a beat renews the lease the trial loop is executing (lease 0
+  // while idle) and is the liveness keepalive that tells a quiet TCP peer
+  // from a half-open one. Until the welcome arrives it re-hellos instead,
+  // since a hello lost on the wire would otherwise strand the worker. A
+  // jthread, so every exit path (exceptions included) stops and joins it.
+  std::mutex lease_mutex;
+  std::condition_variable_any beat_cv;  // woken only by stop
+  std::uint64_t current_lease = 0;  // guarded by lease_mutex
   const std::uint64_t heartbeat_ms = std::max<std::uint64_t>(
       1, options.heartbeat_ms != 0 ? options.heartbeat_ms
                                    : options.lease_ms / 4);
-  std::thread heartbeat([&] {
-    std::unique_lock<std::mutex> lock(hb.mutex);
+  std::jthread heartbeat([&](std::stop_token stop) {
+    std::unique_lock<std::mutex> lock(lease_mutex);
     for (;;) {
-      hb.cv.wait_for(lock, std::chrono::milliseconds(heartbeat_ms));
-      if (hb.stop) return;
-      const std::uint64_t lease = hb.lease;
-      if (session == 0 && lease == 0) continue;
+      beat_cv.wait_for(lock, stop, std::chrono::milliseconds(heartbeat_ms),
+                        [] { return false; });
+      if (stop.stop_requested()) return;
+      const std::uint64_t lease = current_lease;
       lock.unlock();
       bool need_hello = false;
-      if (session != 0) {
+      {
         std::lock_guard<std::mutex> l(link_mutex);
         need_hello = !welcomed && !link_dead;
       }
@@ -444,9 +442,9 @@ int run_fabric_worker_impl(std::shared_ptr<Transport> initial,
       lock.lock();
     }
   });
-  const auto set_current_lease = [&hb](std::uint64_t lease) {
-    std::lock_guard<std::mutex> lock(hb.mutex);
-    hb.lease = lease;
+  const auto set_current_lease = [&](std::uint64_t lease) {
+    std::lock_guard<std::mutex> lock(lease_mutex);
+    current_lease = lease;
   };
 
   const CancelToken* interrupt = resilience.interrupt;
@@ -471,7 +469,7 @@ int run_fabric_worker_impl(std::shared_ptr<Transport> initial,
       if (t->closed()) {
         std::lock_guard<std::mutex> lock(link_mutex);
         if (link == t) {
-          // EOF on the live link: redial (network) or give up (fork).
+          // EOF on the live link: redial (TCP) or give up (socketpair).
           if (!reconnect_locked()) {
             exit_code = 1;
             break;
@@ -492,7 +490,7 @@ int run_fabric_worker_impl(std::shared_ptr<Transport> initial,
       {
         std::lock_guard<std::mutex> lock(link_mutex);
         welcomed = true;
-        if (index == kUnassignedWorker) index = msg.worker;
+        index = msg.worker;
       }
       open_shard();
       continue;
@@ -538,43 +536,13 @@ int run_fabric_worker_impl(std::shared_ptr<Transport> initial,
     }
   }
 
+  heartbeat.request_stop();
+  heartbeat.join();
   if (shard.has_value()) shard->checkpoint();
   FabricMessage bye;
   bye.type = FabricMessage::Type::kBye;
   send_msg(bye, /*replayable=*/false);
-  {
-    std::lock_guard<std::mutex> lock(hb.mutex);
-    hb.stop = true;
-    hb.cv.notify_all();
-  }
-  heartbeat.join();
   return exit_code;
-}
-
-}  // namespace
-
-int run_fabric_worker(Transport& transport,
-                      const std::vector<SweepPoint>& points,
-                      const obs::RunManifest& manifest,
-                      const FabricOptions& options, std::size_t worker_index) {
-  // Borrowed transport (fork fabric, scripted tests): aliasing shared_ptr
-  // with a no-op deleter; no network identity, /1 semantics.
-  std::shared_ptr<Transport> borrowed(&transport, [](Transport*) {});
-  return run_fabric_worker_impl(std::move(borrowed), points, manifest,
-                                options, worker_index, nullptr);
-}
-
-int run_fabric_worker(std::unique_ptr<Transport> transport,
-                      const std::vector<SweepPoint>& points,
-                      const obs::RunManifest& manifest,
-                      const FabricOptions& options, std::size_t worker_index,
-                      FabricWorkerNet* net) {
-  MTM_REQUIRE(transport != nullptr);
-  if (worker_index == kUnassignedWorker) {
-    MTM_REQUIRE(net != nullptr && net->session != 0);
-  }
-  return run_fabric_worker_impl(std::shared_ptr<Transport>(std::move(transport)),
-                                points, manifest, options, worker_index, net);
 }
 
 // ---------------------------------------------------------------------------
@@ -616,10 +584,11 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
   }
   using Key = std::pair<std::uint64_t, std::uint64_t>;
 
-  // Worker death policy: a fork fabric (no listener) keeps the /1 rule —
-  // EOF is death, liveness disabled. A listener fabric arms the per-peer
-  // heartbeat-liveness deadline instead, because a TCP half-open peer
-  // never EOFs and an EOF peer may be about to reconnect.
+  // Worker death policy, the transport's own rule: on a fork fabric (no
+  // listener) socketpair EOF is death, so no liveness deadline is needed.
+  // A listener fabric arms the per-peer heartbeat-liveness deadline
+  // instead, because a TCP half-open peer never EOFs and an EOF peer may be
+  // about to reconnect.
   const std::uint64_t liveness_ms =
       options_.liveness_ms != 0
           ? options_.liveness_ms
@@ -687,8 +656,8 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
     bool alive = true;
     bool ready = false;      // hello received
     bool idle = true;        // no open lease
-    bool connected = true;   // transport currently usable (v2 may reconnect)
-    std::uint64_t session = 0;  // nonzero = mtm-fabric/2 network worker
+    bool connected = true;   // transport currently usable (TCP may reconnect)
+    std::uint64_t session = 0;  // from the hello
     std::uint64_t out_seq = 0;  // coordinator->worker seq, per connection
     SeqWindow window;           // worker->coordinator wire-dup suppression
   };
@@ -716,9 +685,17 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
   const auto send_to = [&](std::size_t w, FabricMessage msg) -> bool {
     msg.worker = static_cast<std::uint64_t>(w);
     msg.session = state[w].session;
-    msg.seq = state[w].session != 0 ? ++state[w].out_seq : 0;
+    msg.seq = ++state[w].out_seq;
     msg.sent_ms = clock_();
     return workers[w].transport->send_line(encode_fabric_message(msg));
+  };
+
+  // Welcome assigns/confirms the worker's slot index (and re-acks a
+  // re-hello whose first welcome was lost on the wire).
+  const auto send_welcome = [&](std::size_t w) {
+    FabricMessage welcome;
+    welcome.type = FabricMessage::Type::kWelcome;
+    (void)send_to(w, welcome);
   };
 
   const auto reap = [&](std::size_t w) {
@@ -808,30 +785,30 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
     on_worker_down(sender, /*chaos=*/true, /*clean=*/false);
   };
 
+  // A hello must carry a session and prove it was built from the same
+  // flags: the manifest fingerprint is deterministic (no timestamps), so
+  // any mismatch means this worker would compute different trials.
+  const auto refuse_hello = [&](const FabricMessage& hello) {
+    if (hello.session != 0 && hello.fingerprint == manifest_fingerprint_) {
+      return false;
+    }
+    ++stats_.manifest_rejects;
+    return true;
+  };
+
   const auto handle_message = [&](std::size_t w, const FabricMessage& msg,
                                   std::uint64_t now) {
     leases.note_peer_alive(static_cast<std::uint64_t>(w), now);
     switch (msg.type) {
       case FabricMessage::Type::kHello:
-        // A network hello must prove it was built from the same flags: the
-        // manifest fingerprint is deterministic (no timestamps), so any
-        // mismatch means this worker would compute different trials.
-        if (!msg.fingerprint.empty() &&
-            msg.fingerprint != manifest_fingerprint_) {
-          ++stats_.manifest_rejects;
+        if (refuse_hello(msg)) {
           workers[w].transport->sever();
           on_worker_down(w, /*chaos=*/false, /*clean=*/true);
           break;
         }
         state[w].ready = true;
         state[w].session = msg.session;
-        if (msg.session != 0) {
-          // Welcome assigns/confirms the slot (and re-acks a re-hello whose
-          // first welcome was lost on the wire).
-          FabricMessage welcome;
-          welcome.type = FabricMessage::Type::kWelcome;
-          (void)send_to(w, welcome);
-        }
+        send_welcome(w);
         break;
       case FabricMessage::Type::kHeartbeat: {
         ++stats_.heartbeats;
@@ -898,10 +875,10 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
       if (!state[w].alive || !state[w].connected) return;
     }
     if (workers[w].transport->closed()) {
-      if (state[w].session != 0 && listener != nullptr) {
-        // EOF on a session worker is a broken connection, not a death: its
-        // leases keep running while it redials; the liveness deadline — not
-        // EOF — declares it dead if it never comes back.
+      if (listener != nullptr) {
+        // TCP EOF is a broken connection, not a death: the worker's leases
+        // keep running while it redials; the liveness deadline — not EOF —
+        // declares it dead if it never comes back.
         state[w].connected = false;
       } else {
         on_worker_down(w, /*chaos=*/false, /*clean=*/false);
@@ -914,41 +891,36 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
   // anything else becomes a new worker slot.
   const auto adopt_hello = [&](std::unique_ptr<Transport> conn,
                                const FabricMessage& msg, std::uint64_t now) {
-    if (!msg.fingerprint.empty() && msg.fingerprint != manifest_fingerprint_) {
-      ++stats_.manifest_rejects;
+    if (refuse_hello(msg)) {
       conn->sever();
       return;
     }
-    if (msg.session != 0) {
-      for (std::size_t w = 0; w < state.size(); ++w) {
-        if (state[w].session != msg.session) continue;
-        // Reconnect: same session, fresh connection. Live leases keep
-        // running — the worker replays its unretired results itself. A
-        // liveness-declared "dead" worker that comes back is resurrected
-        // (its old leases were already requeued; late results under the
-        // old ids stay stale).
-        //
-        // Drain the dying connection first: results that landed just
-        // before the break are already in its buffer, and discarding them
-        // with the transport would turn a clean resume into a requeue.
-        pump_worker(w, now);
-        const bool was_alive = state[w].alive;
-        workers[w].transport = std::move(conn);
-        workers[w].pid = -1;
-        state[w].alive = true;
-        state[w].ready = true;
-        state[w].connected = true;
-        if (!was_alive) state[w].idle = true;
-        state[w].out_seq = 0;
-        state[w].window.reset();
-        state[w].window.accept(msg.seq);
-        ++stats_.reconnects;
-        leases.note_peer_alive(static_cast<std::uint64_t>(w), now);
-        FabricMessage welcome;
-        welcome.type = FabricMessage::Type::kWelcome;
-        (void)send_to(w, welcome);
-        return;
-      }
+    for (std::size_t w = 0; w < state.size(); ++w) {
+      if (state[w].session != msg.session) continue;
+      // Reconnect: same session, fresh connection. Live leases keep
+      // running — the worker replays its unretired results itself. A
+      // liveness-declared "dead" worker that comes back is resurrected
+      // (its old leases were already requeued; late results under the
+      // old ids stay stale).
+      //
+      // Drain the dying connection first: results that landed just
+      // before the break are already in its buffer, and discarding them
+      // with the transport would turn a clean resume into a requeue.
+      pump_worker(w, now);
+      const bool was_alive = state[w].alive;
+      workers[w].transport = std::move(conn);
+      workers[w].pid = -1;
+      state[w].alive = true;
+      state[w].ready = true;
+      state[w].connected = true;
+      if (!was_alive) state[w].idle = true;
+      state[w].out_seq = 0;
+      state[w].window.reset();
+      state[w].window.accept(msg.seq);
+      ++stats_.reconnects;
+      leases.note_peer_alive(static_cast<std::uint64_t>(w), now);
+      send_welcome(w);
+      return;
     }
     const std::size_t w = workers.size();
     WorkerEndpoint ep;
@@ -961,11 +933,7 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
     fresh.window.accept(msg.seq);
     state.push_back(fresh);
     leases.note_peer_alive(static_cast<std::uint64_t>(w), now);
-    if (msg.session != 0) {
-      FabricMessage welcome;
-      welcome.type = FabricMessage::Type::kWelcome;
-      (void)send_to(w, welcome);
-    }
+    send_welcome(w);
   };
 
   const auto pump_pending = [&](std::uint64_t now) {
@@ -1082,9 +1050,9 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
       grant.point = point;
       grant.trials = std::move(trials);
       if (!send_to(w, std::move(grant))) {
-        if (state[w].session != 0 && listener != nullptr) {
-          // Broken connection, not a death: the lease expires and requeues
-          // on its own clock while the worker redials.
+        if (listener != nullptr) {
+          // Broken TCP connection, not a death: the lease expires and
+          // requeues on its own clock while the worker redials.
           state[w].connected = false;
           state[w].idle = false;
         } else {
@@ -1311,8 +1279,10 @@ SweepReport FabricRunner::run(const std::vector<SweepPoint>& points) {
       for (const int fd : parent_fds) ::close(fd);
       int code = 1;
       try {
-        SocketTransport transport(sv[1]);
-        code = run_fabric_worker(transport, points, manifest_, options_, i);
+        FabricWorkerSession session;
+        session.id = mint_session();
+        code = run_fabric_worker(std::make_unique<StreamTransport>(sv[1]),
+                                 points, manifest_, options_, session);
       } catch (...) {
         code = 1;
       }
@@ -1322,7 +1292,7 @@ SweepReport FabricRunner::run(const std::vector<SweepPoint>& points) {
     parent_fds.push_back(sv[0]);
     (void)register_interrupt_child(pid);
     WorkerEndpoint ep;
-    ep.transport = std::make_unique<SocketTransport>(sv[0]);
+    ep.transport = std::make_unique<StreamTransport>(sv[0]);
     ep.pid = pid;
     endpoints.push_back(std::move(ep));
   }
@@ -1342,21 +1312,15 @@ int run_fabric_net_worker(const std::vector<SweepPoint>& points,
   MTM_REQUIRE(!options.connect.empty());
   const HostPort peer = parse_host_port(options.connect);
 
-  // Session ids must be unique across worker processes and restarts of the
-  // same machine; pid + wall-progress + entropy mixed through derive_seed.
-  std::random_device rd;
-  std::uint64_t session = derive_seed(
-      static_cast<std::uint64_t>(::getpid()),
-      {steady_now_ms(),
-       (static_cast<std::uint64_t>(rd()) << 32) ^ static_cast<std::uint64_t>(rd())});
-  if (session == 0) session = 1;
+  FabricWorkerSession session;
+  session.id = mint_session();
 
   TcpConnectOptions dial;
   dial.connect_timeout_ms = options.net_connect_timeout_ms;
   dial.attempts = options.net_reconnect_attempts;
   dial.backoff_ms = options.net_backoff_ms;
   dial.backoff_max_ms = options.net_backoff_max_ms;
-  dial.jitter_seed = derive_seed(session, {0x6a6974u});
+  dial.jitter_seed = derive_seed(session.id, {0x6a6974u});
 
   std::uint64_t connections = 0;
   const auto dial_once = [&, peer]() -> std::unique_ptr<Transport> {
@@ -1379,15 +1343,12 @@ int run_fabric_net_worker(const std::vector<SweepPoint>& points,
   std::unique_ptr<Transport> first = dial_once();
   if (first == nullptr) return 1;  // coordinator unreachable
 
-  FabricWorkerNet net;
-  net.session = session;
-  net.reconnect = dial_once;
-  net.fingerprint = obs::manifest_fingerprint(manifest.to_json());
-
-  const int code = run_fabric_worker(std::move(first), points, manifest,
-                                     options, kUnassignedWorker, &net);
+  session.reconnect = dial_once;
+  const int code =
+      run_fabric_worker(std::move(first), points, manifest, options, session);
   if (options.metrics != nullptr) {
-    options.metrics->counter("fabric.reconnects").increment(net.reconnects);
+    options.metrics->counter("fabric.reconnects")
+        .increment(session.reconnects);
   }
   return code;
 }

@@ -1,6 +1,5 @@
 // Distributed sweep fabric: coordinator/worker trial leasing with
-// crash-tolerant, byte-identical aggregation (schema mtm-fabric/2,
-// mtm-fabric/1 still accepted).
+// crash-tolerant, byte-identical aggregation (schema mtm-fabric/2).
 //
 // A single SweepRunner process is the unit of correctness in this repo; the
 // fabric is how a sweep outgrows one process without giving any of that up.
@@ -40,17 +39,24 @@
 //     result stream (seeded schedule, never the last worker alive) so CI
 //     can prove the drain + requeue path keeps aggregates byte-identical.
 //
-// Network hardening (mtm-fabric/2, PR 9): TCP workers carry a session id in
-// every message plus a per-message sequence number. A worker whose
-// connection breaks redials with capped backoff, re-hellos with its session
-// id, and resumes its live leases — the coordinator transplants the new
-// connection into the same worker slot and a sequence window discards any
-// stale duplicates from the old connection. Because a half-open TCP
-// connection never EOFs, worker DEATH on a listener fabric is declared by a
-// per-peer heartbeat-liveness deadline in LeaseTable, not by EOF; EOF on a
-// session-bearing peer merely marks it disconnected (leases keep running
-// until liveness expires). Forked AF_UNIX workers keep the /1 semantics:
-// session 0, EOF = death.
+// One protocol for every worker, forked or remote. Each worker mints a
+// nonzero session id and stamps it, with a per-connection sequence number
+// starting at 1, on every line it sends. Its hello proves the manifest
+// fingerprint; the coordinator severs a hello without a session or with a
+// different fingerprint, and a sequence window drops unsequenced and
+// wire-duplicated lines. The welcome tells the worker its slot index, which
+// names its shard journal. Workers heartbeat every heartbeat period, with
+// or without a lease: a beat renews the current lease and proves the peer
+// is alive.
+//
+// The only rule that differs between the two fabric forms is the
+// transport's own. On a forked fabric (AF_UNIX socketpairs, no listener)
+// EOF is death: the worker's leases are requeued at once. On a listening
+// fabric (TCP) EOF only marks the worker disconnected. It may redial,
+// re-hello with its session and resume its live leases in the same slot,
+// replaying its unretired results. A half-open TCP connection never EOFs,
+// so death there is declared by a per-peer heartbeat-liveness deadline in
+// LeaseTable.
 //
 // Transport is a small interface (harness/net_transport.hpp): production
 // workers are forked children on an AF_UNIX stream socketpair or remote
@@ -82,18 +88,12 @@
 namespace mtm {
 
 inline constexpr const char* kFabricSchemaVersion = "mtm-fabric/2";
-/// Still parsed (PR 7 peers); encode always writes /2.
-inline constexpr const char* kFabricSchemaVersionLegacy = "mtm-fabric/1";
 
 /// Fabric protocol, transport, or spawn failure.
 class FabricError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-/// The fabric's stream transport has always been socket-backed; the class
-/// now lives in harness/net_transport.hpp under its layer-accurate name.
-using SocketTransport = StreamTransport;
 
 // ---------------------------------------------------------------------------
 // Protocol messages
@@ -132,20 +132,17 @@ struct FabricMessage {
   /// the journal's serialization and checksum verbatim, so a corrupt
   /// result line is rejected by the same code that rejects journal rot.
   std::string record;
-  /// mtm-fabric/2: worker session id, nonzero for network workers. A
-  /// reconnecting worker re-hellos with the same session and the
-  /// coordinator transplants the new connection into its old slot.
-  /// Session 0 = legacy (forked socketpair) semantics: EOF is death.
+  /// The worker's session id, nonzero. A reconnecting worker re-hellos
+  /// with the same session and the coordinator transplants the new
+  /// connection into its old slot.
   std::uint64_t session = 0;
-  /// mtm-fabric/2: per-connection-send monotone sequence number (1-based;
-  /// 0 = unsequenced/legacy). Freshly stamped on every transmission,
+  /// Per-connection-send monotone sequence number, starting at 1; a line
+  /// with seq 0 is dropped. Freshly stamped on every transmission,
   /// including replays, so the receiver's window only ever discards lines
   /// duplicated by the WIRE, never replayed results.
   std::uint64_t seq = 0;
-  /// kHello (network workers): manifest_fingerprint of the worker's locally
-  /// rebuilt RunManifest; the coordinator refuses mismatched peers before
-  /// granting them work. Empty = not checked (legacy/forked workers share
-  /// the coordinator's memory image).
+  /// kHello: manifest_fingerprint of the worker's RunManifest; the
+  /// coordinator refuses a mismatched worker before granting it work.
   std::string fingerprint;
 };
 
@@ -153,21 +150,20 @@ const char* to_string(FabricMessage::Type type);
 
 /// One JSONL line for `message` (no trailing newline) and its inverse;
 /// parse throws FabricError on malformed lines or unknown types/fields.
-/// parse accepts schemas mtm-fabric/2 and mtm-fabric/1; encode writes /2.
 std::string encode_fabric_message(const FabricMessage& message);
 FabricMessage parse_fabric_message(const std::string& line);
 
 /// Receiver-side duplicate suppression for wire-duplicated/reordered lines:
 /// a 64-deep sliding bitmap over sequence numbers. accept(seq) returns true
-/// exactly once per seq value; seq 0 (unsequenced/legacy) is always fresh.
-/// Reset on reconnect — each connection numbers its sends from 1.
+/// exactly once per seq value >= 1 and never for 0, which counts as seen
+/// from the start. Reset on reconnect — each connection numbers its sends
+/// from 1.
 struct SeqWindow {
   std::uint64_t last = 0;      ///< highest seq accepted
   std::uint64_t window = 0;    ///< bit k set = (last - 1 - k) seen
   static constexpr std::uint64_t kDepth = 64;
 
   bool accept(std::uint64_t seq) {
-    if (seq == 0) return true;
     if (seq > last) {
       const std::uint64_t shift = seq - last;
       window = shift >= kDepth ? 0 : (window << shift) | (1ull << (shift - 1));
@@ -277,52 +273,46 @@ class LeaseTable {
 // Worker
 // ---------------------------------------------------------------------------
 
-/// Runs the worker side of the protocol over `transport` until shutdown,
-/// interrupt, or transport EOF: announce with hello, then for each lease
-/// execute its trials via execute_sweep_trial (the SweepRunner inner loop —
-/// same watchdog, retry, backoff, and quarantine policy) and send one
-/// result per trial. A background heartbeat renews the current lease every
-/// options.heartbeat_ms. With options.worker_shards, every completed trial
-/// is also appended to the worker's own shard journal
-/// (<journal_path>.w<worker_index>), giving the validator an independent
-/// per-worker record set to check against the merged journal.
-///
-/// Returns a process exit code: 0 (clean shutdown), kInterruptExitCode
-/// (interrupt observed), 1 (coordinator vanished).
-int run_fabric_worker(Transport& transport,
-                      const std::vector<SweepPoint>& points,
-                      const obs::RunManifest& manifest,
-                      const FabricOptions& options, std::size_t worker_index);
-
-/// Sentinel worker index for network workers that learn their slot from the
-/// coordinator's welcome instead of being told at fork time.
-inline constexpr std::size_t kUnassignedWorker = ~static_cast<std::size_t>(0);
-
-/// mtm-fabric/2 network identity for a worker: a nonzero session id plus a
-/// redial factory. When the transport breaks (send failure or EOF), the
-/// worker calls reconnect() — which should block through its own backoff
-/// schedule and return nullptr only when the coordinator is truly
-/// unreachable — then re-hellos with the same session and resends the
-/// unacknowledged results of its current lease.
-struct FabricWorkerNet {
-  std::uint64_t session = 0;
+/// A worker's session: its identity towards the coordinator plus, for a
+/// TCP worker, the redial factory that lets the session outlive a
+/// connection.
+struct FabricWorkerSession {
+  /// Session id, nonzero and unique per worker process; the coordinator
+  /// refuses a hello with session 0.
+  std::uint64_t id = 0;
+  /// When the transport breaks (send failure or EOF), the worker calls
+  /// reconnect() — which should block through its own backoff schedule and
+  /// return nullptr only when the coordinator is truly unreachable — then
+  /// re-hellos with the same session and resends the unacknowledged
+  /// results of its current lease. Empty for a socketpair worker, whose
+  /// EOF means the coordinator is gone.
   std::function<std::unique_ptr<Transport>()> reconnect;
   /// Give up after this many successful reconnects (runaway guard).
   std::uint64_t max_reconnects = 32;
-  /// manifest fingerprint to present in hello ("" = skip the check).
-  std::string fingerprint;
-  /// Observed reconnect count, for stats export by the driver.
+  /// Observed reconnect count, for the caller to export as a stat.
   std::uint64_t reconnects = 0;
 };
 
-/// Network-worker variant: owns the transport so it can be swapped out on
-/// reconnect. worker_index may be kUnassignedWorker when net.session != 0 —
-/// the index (and thus the shard-journal path) is adopted from the welcome.
+/// Runs the worker side of the protocol over `transport` until shutdown,
+/// interrupt, or the coordinator is gone: hello with the session and the
+/// manifest fingerprint, then for each lease execute its trials via
+/// execute_sweep_trial (the SweepRunner inner loop — same watchdog, retry,
+/// backoff, and quarantine policy) and send one result per trial. A
+/// background thread heartbeats every options.heartbeat_ms, renewing the
+/// current lease, and re-hellos until the welcome arrives. Leases are
+/// served as they arrive; the welcome only sets the worker's slot index.
+/// With options.worker_shards, every completed trial is also appended to
+/// the worker's own shard journal (<journal_path>.w<slot index>), giving
+/// the validator an independent per-worker record set to check against the
+/// merged journal.
+///
+/// Returns a process exit code: 0 (clean shutdown), kInterruptExitCode
+/// (interrupt observed), 1 (coordinator vanished).
 int run_fabric_worker(std::unique_ptr<Transport> transport,
                       const std::vector<SweepPoint>& points,
                       const obs::RunManifest& manifest,
-                      const FabricOptions& options, std::size_t worker_index,
-                      FabricWorkerNet* net);
+                      const FabricOptions& options,
+                      FabricWorkerSession& session);
 
 // ---------------------------------------------------------------------------
 // Coordinator
@@ -344,14 +334,16 @@ struct FabricStats {
   std::uint64_t heartbeats = 0;
   /// Trials quarantined at the fabric level (max_requeues exhausted).
   std::uint64_t fabric_quarantined = 0;
-  /// mtm-fabric/2: successful session-resuming reconnects.
+  /// Successful session-resuming reconnects.
   std::uint64_t reconnects = 0;
   /// Workers declared dead by the heartbeat-liveness deadline (half-open
   /// connections; EOF deaths are counted in worker_deaths only).
   std::uint64_t liveness_deaths = 0;
-  /// Lines discarded by the per-connection sequence window (wire dups).
+  /// Lines discarded by the per-connection sequence window (wire dups and
+  /// unsequenced lines).
   std::uint64_t stale_seq_discarded = 0;
-  /// Network hellos refused for a mismatched manifest fingerprint.
+  /// Hellos refused for a missing session or a mismatched manifest
+  /// fingerprint.
   std::uint64_t manifest_rejects = 0;
 };
 
@@ -382,9 +374,10 @@ class FabricCoordinator {
   /// workers before returning; no orphans survive this call.
   ///
   /// With a listener, additional workers may dial in at any time (workers
-  /// may then start empty); session-bearing peers get reconnect/resume and
-  /// liveness-deadline death detection (effective liveness defaults to
-  /// 2 * lease_ms on a listener fabric when options.liveness_ms is 0).
+  /// may then start empty); EOF then only disconnects a worker, which may
+  /// reconnect and resume, and death is declared by the liveness deadline
+  /// (effective liveness defaults to 2 * lease_ms on a listener fabric when
+  /// options.liveness_ms is 0). Without one, EOF is death.
   SweepReport run(const std::vector<SweepPoint>& points,
                   std::vector<WorkerEndpoint> workers,
                   FabricListener* listener = nullptr);
@@ -397,9 +390,9 @@ class FabricCoordinator {
   Clock clock_;
   std::optional<TrialJournal> journal_;
   FabricStats stats_;
-  /// Expected hello fingerprint for network workers (manifest_fingerprint
-  /// of the coordinator's manifest; workers rebuilt theirs from the same
-  /// flags, and manifests carry no timestamps, so equality is exact).
+  /// Expected hello fingerprint (manifest_fingerprint of the coordinator's
+  /// manifest; remote workers rebuilt theirs from the same flags, and
+  /// manifests carry no timestamps, so equality is exact).
   std::string manifest_fingerprint_;
 };
 

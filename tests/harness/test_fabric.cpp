@@ -1,10 +1,10 @@
-// Distributed sweep fabric: protocol round-trips (mtm-fabric/2 and the
-// accepted /1 legacy), LeaseTable expiry and heartbeat-liveness edge cases,
-// the per-connection sequence window, and coordinator/worker end-to-end
-// runs — over loopback transports, under deterministic wire faults, through
-// a forced mid-lease reconnect, past a half-open (silent) worker, and over
-// real TCP with chaos-decorated network workers — all of which must
-// reproduce a single-process SweepRunner byte-for-byte.
+// Distributed sweep fabric: mtm-fabric/2 protocol round-trips, LeaseTable
+// expiry and heartbeat-liveness edge cases, the per-connection sequence
+// window, the hello checks, and coordinator/worker end-to-end runs — over
+// loopback transports, under deterministic wire faults, through a forced
+// mid-lease reconnect, past a half-open (silent) worker, and over real TCP
+// with chaos-decorated network workers — all of which must reproduce a
+// single-process SweepRunner byte-for-byte.
 #include "harness/fabric.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +21,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "obs/manifest.hpp"
 
 namespace mtm {
 namespace {
@@ -104,10 +106,6 @@ std::optional<FabricMessage> next_message(Transport& transport) {
   }
 }
 
-void send(Transport& transport, const FabricMessage& message) {
-  (void)transport.send_line(encode_fabric_message(message));
-}
-
 FabricMessage make_message(FabricMessage::Type type, std::uint64_t worker,
                            std::uint64_t lease = 0) {
   FabricMessage m;
@@ -116,6 +114,43 @@ FabricMessage make_message(FabricMessage::Type type, std::uint64_t worker,
   m.lease = lease;
   return m;
 }
+
+std::string fingerprint_of(const obs::RunManifest& manifest) {
+  return obs::manifest_fingerprint(manifest.to_json());
+}
+
+/// A scripted worker on one connection: every line it sends carries its
+/// session and the connection's next sequence number, as run_fabric_worker
+/// stamps them.
+class ScriptedWorker {
+ public:
+  ScriptedWorker(Transport& transport, std::uint64_t session)
+      : transport_(transport), session_(session) {}
+
+  /// The wire line for `message`, stamped with the next sequence number.
+  std::string stamp(FabricMessage message) {
+    message.session = session_;
+    message.seq = ++seq_;
+    return encode_fabric_message(message);
+  }
+  void send(const FabricMessage& message) {
+    (void)transport_.send_line(stamp(message));
+  }
+  /// Says hello with `manifest`'s fingerprint and consumes the welcome.
+  void hello(const obs::RunManifest& manifest) {
+    FabricMessage hello = make_message(FabricMessage::Type::kHello, 0);
+    hello.fingerprint = fingerprint_of(manifest);
+    send(hello);
+    const std::optional<FabricMessage> welcome = next_message(transport_);
+    ASSERT_TRUE(welcome.has_value());
+    ASSERT_EQ(welcome->type, FabricMessage::Type::kWelcome);
+  }
+
+ private:
+  Transport& transport_;
+  std::uint64_t session_;
+  std::uint64_t seq_ = 0;
+};
 
 // ---------------------------------------------------------------------------
 // Protocol messages
@@ -157,13 +192,13 @@ TEST(FabricMessage, RejectsMalformedAndForeignLines) {
       parse_fabric_message(R"({"schema":"mtm-fabric/99","type":"hello"})"),
       FabricError);
   EXPECT_THROW(
-      parse_fabric_message(R"({"schema":"mtm-fabric/1","type":"gossip"})"),
+      parse_fabric_message(R"({"schema":"mtm-fabric/2","type":"gossip"})"),
       FabricError);
-  EXPECT_THROW(parse_fabric_message(R"({"schema":"mtm-fabric/1"})"),
+  EXPECT_THROW(parse_fabric_message(R"({"schema":"mtm-fabric/2"})"),
                FabricError);
   EXPECT_THROW(
       parse_fabric_message(
-          R"({"schema":"mtm-fabric/1","type":"lease","trials":[1,"x"]})"),
+          R"({"schema":"mtm-fabric/2","type":"lease","trials":[1,"x"]})"),
       FabricError);
 }
 
@@ -275,8 +310,10 @@ TEST(Fabric, LoopbackWorkersReproduceSweepRunnerByteForByte) {
     endpoints.push_back(WorkerEndpoint{std::move(coord_side), -1});
     threads.emplace_back(
         [&, w, transport = std::move(worker_side)]() mutable {
-          exit_codes[w] = run_fabric_worker(*transport, points, manifest,
-                                            options, w);
+          FabricWorkerSession session;
+          session.id = 1 + w;
+          exit_codes[w] = run_fabric_worker(std::move(transport), points,
+                                            manifest, options, session);
         });
   }
 
@@ -321,7 +358,8 @@ TEST(Fabric, LateResultAfterExpiryIsDiscardedDeterministically) {
 
   std::thread worker([&, transport = std::move(worker_side)]() mutable {
     Transport& t = *transport;
-    send(t, make_message(FabricMessage::Type::kHello, 0));
+    ScriptedWorker peer(t, /*session=*/1);
+    peer.hello(manifest);
 
     // Sit on the first lease until it expires under us...
     const std::optional<FabricMessage> first = next_message(t);
@@ -340,18 +378,18 @@ TEST(Fabric, LateResultAfterExpiryIsDiscardedDeterministically) {
     FabricMessage late = make_message(FabricMessage::Type::kResult, 0,
                                       first->lease);
     late.record = result_line(points, first->point, first->trials[0]);
-    send(t, late);
+    peer.send(late);
     for (const std::uint64_t trial : second->trials) {
       FabricMessage result = make_message(FabricMessage::Type::kResult, 0,
                                           second->lease);
       result.record = result_line(points, second->point, trial);
-      send(t, result);
+      peer.send(result);
     }
 
     const std::optional<FabricMessage> fin = next_message(t);
     ASSERT_TRUE(fin.has_value());
     ASSERT_EQ(fin->type, FabricMessage::Type::kShutdown);
-    send(t, make_message(FabricMessage::Type::kBye, 0));
+    peer.send(make_message(FabricMessage::Type::kBye, 0));
   });
 
   FabricCoordinator coordinator(manifest, options,
@@ -397,14 +435,15 @@ TEST(Fabric, WorkerKilledMidBatchDrainsThenResumeCompletes) {
     endpoints.push_back(WorkerEndpoint{std::move(coord_side), -1});
     std::thread worker([&, transport = std::move(worker_side)]() mutable {
       Transport& t = *transport;
-      send(t, make_message(FabricMessage::Type::kHello, 0));
+      ScriptedWorker peer(t, /*session=*/1);
+      peer.hello(manifest);
       const std::optional<FabricMessage> lease = next_message(t);
       ASSERT_TRUE(lease.has_value());
       ASSERT_EQ(lease->trials.size(), 2u);
       FabricMessage result = make_message(FabricMessage::Type::kResult, 0,
                                           lease->lease);
       result.record = result_line(points, lease->point, lease->trials[0]);
-      send(t, result);
+      peer.send(result);
       t.sever();  // SIGKILL from the transport's point of view
     });
 
@@ -431,7 +470,10 @@ TEST(Fabric, WorkerKilledMidBatchDrainsThenResumeCompletes) {
     endpoints.push_back(WorkerEndpoint{std::move(coord_side), -1});
     int exit_code = -1;
     std::thread worker([&, transport = std::move(worker_side)]() mutable {
-      exit_code = run_fabric_worker(*transport, points, manifest, options, 0);
+      FabricWorkerSession session;
+      session.id = 2;
+      exit_code = run_fabric_worker(std::move(transport), points, manifest,
+                                    options, session);
     });
 
     FabricCoordinator coordinator(manifest, options);
@@ -469,12 +511,13 @@ TEST(Fabric, RequeueBudgetExhaustionQuarantinesTheTrial) {
   // out, and after max_requeues the coordinator gives up on the keys.
   std::thread worker([&, transport = std::move(worker_side)]() mutable {
     Transport& t = *transport;
-    send(t, make_message(FabricMessage::Type::kHello, 0));
+    ScriptedWorker peer(t, /*session=*/1);
+    peer.hello(manifest);
     for (;;) {
       const std::optional<FabricMessage> msg = next_message(t);
       if (!msg.has_value()) return;
       if (msg->type == FabricMessage::Type::kShutdown) {
-        send(t, make_message(FabricMessage::Type::kBye, 0));
+        peer.send(make_message(FabricMessage::Type::kBye, 0));
         return;
       }
       if (msg->type == FabricMessage::Type::kLease) {
@@ -507,7 +550,7 @@ TEST(Fabric, RequeueBudgetExhaustionQuarantinesTheTrial) {
 }
 
 // ---------------------------------------------------------------------------
-// mtm-fabric/2: session / seq / fingerprint, legacy acceptance, SeqWindow
+// mtm-fabric/2: session / seq / fingerprint, retired /1, SeqWindow
 // ---------------------------------------------------------------------------
 
 TEST(FabricMessage, RoundTripsSessionSeqFingerprintAndWelcome) {
@@ -533,29 +576,33 @@ TEST(FabricMessage, RoundTripsSessionSeqFingerprintAndWelcome) {
   EXPECT_EQ(wback.type, FabricMessage::Type::kWelcome);
   EXPECT_EQ(wback.worker, 5u);
 
-  // The /2 fields are omitted at their defaults: a legacy-shaped message
-  // encodes to exactly the keys /1 used (plus the schema bump).
-  FabricMessage legacy;
-  legacy.type = FabricMessage::Type::kHeartbeat;
-  legacy.lease = 9;
-  const std::string legacy_line = encode_fabric_message(legacy);
-  EXPECT_EQ(legacy_line.find("session"), std::string::npos);
-  EXPECT_EQ(legacy_line.find("seq"), std::string::npos);
-  EXPECT_EQ(legacy_line.find("fingerprint"), std::string::npos);
+  // Every line carries session and seq, even at their defaults; the
+  // fingerprint only when set.
+  FabricMessage beat;
+  beat.type = FabricMessage::Type::kHeartbeat;
+  beat.lease = 9;
+  const std::string beat_line = encode_fabric_message(beat);
+  EXPECT_NE(beat_line.find("\"session\":0"), std::string::npos);
+  EXPECT_NE(beat_line.find("\"seq\":0"), std::string::npos);
+  EXPECT_EQ(beat_line.find("fingerprint"), std::string::npos);
 }
 
-TEST(FabricMessage, StillAcceptsLegacySchemaVersionOne) {
-  const FabricMessage m = parse_fabric_message(
-      R"({"schema":"mtm-fabric/1","type":"heartbeat","worker":3,"lease":9})");
-  EXPECT_EQ(m.type, FabricMessage::Type::kHeartbeat);
-  EXPECT_EQ(m.worker, 3u);
-  EXPECT_EQ(m.lease, 9u);
-  EXPECT_EQ(m.session, 0u);  // legacy peers are session 0 by construction
-  EXPECT_EQ(m.seq, 0u);
+TEST(FabricMessage, RejectsRetiredSchemaVersionOne) {
+  // The session-less first protocol version is retired: its lines are
+  // foreign, like any other schema's.
+  std::string v1 = kFabricSchemaVersion;
+  ASSERT_EQ(v1.back(), '2');
+  v1.back() = '1';
+  EXPECT_THROW(parse_fabric_message(R"({"schema":")" + v1 +
+                                    R"(","type":"heartbeat","worker":3,)"
+                                    R"("lease":9})"),
+               FabricError);
 }
 
-TEST(SeqWindow, AcceptsEachSeqOnceToleratesReorderAndAlwaysPassesZero) {
+TEST(SeqWindow, AcceptsEachSeqOnceToleratesReorderAndRejectsZero) {
   SeqWindow w;
+  // An unsequenced line is never accepted, before or after numbering.
+  EXPECT_FALSE(w.accept(0));
   // In-order stream.
   EXPECT_TRUE(w.accept(1));
   EXPECT_TRUE(w.accept(2));
@@ -568,15 +615,76 @@ TEST(SeqWindow, AcceptsEachSeqOnceToleratesReorderAndAlwaysPassesZero) {
   EXPECT_TRUE(w.accept(5));
   EXPECT_FALSE(w.accept(4));
   EXPECT_FALSE(w.accept(6));
-  // Unsequenced (legacy) lines are never suppressed.
-  EXPECT_TRUE(w.accept(0));
-  EXPECT_TRUE(w.accept(0));
+  EXPECT_FALSE(w.accept(0));
   // Beyond the 64-deep window everything older is presumed stale.
   EXPECT_TRUE(w.accept(200));
   EXPECT_FALSE(w.accept(100));
   // reset() starts a fresh connection's numbering.
   w.reset();
   EXPECT_TRUE(w.accept(1));
+}
+
+TEST(Fabric, ForkedFabricSeversHelloWithoutSessionOrMatchingFingerprint) {
+  const obs::RunManifest manifest = fabric_manifest();
+  const std::vector<SweepPoint> points = synthetic_points(2, 3, 850);
+
+  SweepRunner control(manifest, ResilienceOptions{});
+  const SweepReport expected = control.run(synthetic_points(2, 3, 850), 1);
+
+  FabricOptions options;
+  options.workers = 4;
+  options.lease_ms = 60000;
+  obs::MetricRegistry metrics;
+  options.metrics = &metrics;
+
+  // A forked-style fabric: loopback endpoints, no listener. Three peers say
+  // a bad hello before the coordinator starts: session 0, no fingerprint,
+  // and a foreign fingerprint. Each is severed unwelcomed, and the sweep
+  // finishes on the one real worker.
+  FabricMessage no_session = make_message(FabricMessage::Type::kHello, 0);
+  no_session.fingerprint = fingerprint_of(manifest);
+  no_session.seq = 1;
+  FabricMessage no_fingerprint = make_message(FabricMessage::Type::kHello, 0);
+  no_fingerprint.session = 11;
+  no_fingerprint.seq = 1;
+  FabricMessage wrong_fingerprint = no_fingerprint;
+  wrong_fingerprint.session = 12;
+  wrong_fingerprint.fingerprint = fingerprint_of(fabric_manifest(12));
+
+  std::vector<WorkerEndpoint> endpoints;
+  std::vector<std::unique_ptr<Transport>> refused;
+  for (const FabricMessage& hello :
+       {no_session, no_fingerprint, wrong_fingerprint}) {
+    auto [coord_side, worker_side] = make_loopback_transport();
+    endpoints.push_back(WorkerEndpoint{std::move(coord_side), -1});
+    (void)worker_side->send_line(encode_fabric_message(hello));
+    refused.push_back(std::move(worker_side));
+  }
+  auto [coord_side, worker_side] = make_loopback_transport();
+  endpoints.push_back(WorkerEndpoint{std::move(coord_side), -1});
+  int exit_code = -1;
+  std::thread worker([&, transport = std::move(worker_side)]() mutable {
+    FabricWorkerSession session;
+    session.id = 3;
+    exit_code = run_fabric_worker(std::move(transport), points, manifest,
+                                  options, session);
+  });
+
+  FabricCoordinator coordinator(manifest, options);
+  const SweepReport report = coordinator.run(points, std::move(endpoints));
+  worker.join();
+
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_FALSE(report.interrupted);
+  expect_same_results(report, expected);
+  for (const std::unique_ptr<Transport>& peer : refused) {
+    EXPECT_FALSE(next_message(*peer).has_value());  // severed, no welcome
+  }
+  const FabricStats& stats = coordinator.stats();
+  EXPECT_EQ(stats.manifest_rejects, 3u);
+  EXPECT_EQ(metrics.counter("fabric.net.manifest_rejects").value(), 3u);
+  EXPECT_EQ(stats.worker_deaths, 0u);
+  EXPECT_EQ(stats.trials_requeued, 0u);
 }
 
 TEST(LeaseTable, LivenessDeadlineIsStrictlyPastAndReportsOnce) {
@@ -639,7 +747,7 @@ TEST(Fabric, LoopbackWorkersUnderWireFaultsReproduceSweepRunnerByteForByte) {
   std::vector<WorkerEndpoint> endpoints;
   std::vector<std::thread> threads;
   std::vector<int> exit_codes(2, -1);
-  std::vector<FabricWorkerNet> nets(2);
+  std::vector<FabricWorkerSession> sessions(2);
   for (std::size_t w = 0; w < 2; ++w) {
     auto [coord_side, worker_side] = make_loopback_transport();
     endpoints.push_back(WorkerEndpoint{std::move(coord_side), -1});
@@ -650,10 +758,10 @@ TEST(Fabric, LoopbackWorkersUnderWireFaultsReproduceSweepRunnerByteForByte) {
     chaos.seed = 100 + w;
     auto faulty = std::make_unique<FaultyTransport>(std::move(worker_side),
                                                     chaos, &metrics);
-    nets[w].session = 1000 + w;
+    sessions[w].id = 1000 + w;
     threads.emplace_back([&, w, transport = std::move(faulty)]() mutable {
       exit_codes[w] = run_fabric_worker(std::move(transport), points,
-                                        manifest, options, w, &nets[w]);
+                                        manifest, options, sessions[w]);
     });
   }
 
@@ -711,19 +819,11 @@ TEST(Fabric, ReconnectMidLeaseResumesWithoutRequeueAndDropsWireDuplicates) {
   const std::uint64_t kSession = 77;
 
   std::thread worker([&] {
-    const auto stamped = [&](FabricMessage m, std::uint64_t seq) {
-      m.session = kSession;
-      m.seq = seq;
-      return m;
-    };
-
     // Connection A: hello, take the lease, deliver HALF of it, then break.
     auto [a_coord, a_worker] = make_loopback_transport();
     listener.offer(std::move(a_coord));
-    send(*a_worker, stamped(make_message(FabricMessage::Type::kHello, 0), 1));
-    const std::optional<FabricMessage> welcome_a = next_message(*a_worker);
-    ASSERT_TRUE(welcome_a.has_value());
-    ASSERT_EQ(welcome_a->type, FabricMessage::Type::kWelcome);
+    ScriptedWorker a(*a_worker, kSession);
+    a.hello(manifest);
     const std::optional<FabricMessage> lease = next_message(*a_worker);
     ASSERT_TRUE(lease.has_value());
     ASSERT_EQ(lease->type, FabricMessage::Type::kLease);
@@ -731,7 +831,7 @@ TEST(Fabric, ReconnectMidLeaseResumesWithoutRequeueAndDropsWireDuplicates) {
     FabricMessage first = make_message(FabricMessage::Type::kResult, 0,
                                        lease->lease);
     first.record = result_line(points, lease->point, lease->trials[0]);
-    send(*a_worker, stamped(first, 2));
+    a.send(first);
     a_worker->sever();  // the network eats the connection mid-lease
 
     // Connection B: same session re-hellos; the coordinator transplants it
@@ -739,14 +839,12 @@ TEST(Fabric, ReconnectMidLeaseResumesWithoutRequeueAndDropsWireDuplicates) {
     // trial is delivered under the original lease id, no requeue.
     auto [b_coord, b_worker] = make_loopback_transport();
     listener.offer(std::move(b_coord));
-    send(*b_worker, stamped(make_message(FabricMessage::Type::kHello, 0), 1));
-    const std::optional<FabricMessage> welcome_b = next_message(*b_worker);
-    ASSERT_TRUE(welcome_b.has_value());
-    ASSERT_EQ(welcome_b->type, FabricMessage::Type::kWelcome);
+    ScriptedWorker b(*b_worker, kSession);
+    b.hello(manifest);
     FabricMessage second = make_message(FabricMessage::Type::kResult, 0,
                                         lease->lease);
     second.record = result_line(points, lease->point, lease->trials[1]);
-    const std::string wire = encode_fabric_message(stamped(second, 2));
+    const std::string wire = b.stamp(second);
     // The wire duplicates the line: the seq window must discard the copy.
     (void)b_worker->send_line(wire);
     (void)b_worker->send_line(wire);
@@ -754,7 +852,7 @@ TEST(Fabric, ReconnectMidLeaseResumesWithoutRequeueAndDropsWireDuplicates) {
     const std::optional<FabricMessage> fin = next_message(*b_worker);
     ASSERT_TRUE(fin.has_value());
     ASSERT_EQ(fin->type, FabricMessage::Type::kShutdown);
-    send(*b_worker, stamped(make_message(FabricMessage::Type::kBye, 0), 3));
+    b.send(make_message(FabricMessage::Type::kBye, 0));
   });
 
   FabricCoordinator coordinator(manifest, options,
@@ -794,12 +892,8 @@ TEST(Fabric, HalfOpenWorkerIsDeclaredDeadByLivenessAndTrialsRequeue) {
   std::thread worker([&] {
     auto [coord_side, worker_side] = make_loopback_transport();
     listener.offer(std::move(coord_side));
-    FabricMessage hello = make_message(FabricMessage::Type::kHello, 0);
-    hello.session = 55;
-    hello.seq = 1;
-    send(*worker_side, hello);
-    const std::optional<FabricMessage> welcome = next_message(*worker_side);
-    ASSERT_TRUE(welcome.has_value());
+    ScriptedWorker peer(*worker_side, /*session=*/55);
+    peer.hello(manifest);
     const std::optional<FabricMessage> lease = next_message(*worker_side);
     ASSERT_TRUE(lease.has_value());
     ASSERT_EQ(lease->type, FabricMessage::Type::kLease);
