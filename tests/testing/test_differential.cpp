@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "graph/generators.hpp"
 #include "protocols/blind_gossip.hpp"
@@ -21,7 +22,32 @@
 #include "sim/runner.hpp"
 #include "testing/fuzz.hpp"
 
+// gtest printers for the two enum test parameters. gtest_discover_tests names
+// a parameterized test after its printed parameter, and an enum without a
+// printer prints as a byte dump such as "4-byte object <01-00 00-00>". The
+// printers spell each value as the fuzzer's case tuples do.
+namespace mtm {
+void PrintTo(AcceptancePolicy policy, std::ostream* os) {
+  switch (policy) {
+    case AcceptancePolicy::kUniformRandom:
+      *os << "uniform";
+      return;
+    case AcceptancePolicy::kSmallestId:
+      *os << "smallest-id";
+      return;
+    case AcceptancePolicy::kLargestId:
+      *os << "largest-id";
+      return;
+  }
+  *os << "unknown";
+}
+}  // namespace mtm
+
 namespace mtm::testing {
+void PrintTo(ReferenceMutation mutation, std::ostream* os) {
+  *os << to_string(mutation);
+}
+
 namespace {
 
 Scenario star_blind_gossip_scenario(NodeId n, Round rounds,
@@ -110,14 +136,7 @@ INSTANTIATE_TEST_SUITE_P(
     Mutations, MutationDetection,
     ::testing::Values(ReferenceMutation::kDropOneConnectionBound,
                       ReferenceMutation::kAcceptFirstProposal,
-                      ReferenceMutation::kSkipPayloadSnapshot),
-    [](const ::testing::TestParamInfo<ReferenceMutation>& param) {
-      std::string name = to_string(param.param);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+                      ReferenceMutation::kSkipPayloadSnapshot));
 
 TEST(Differential, PayloadSnapshotMutationNeedsStateDependentPayloads) {
   // Control for the kSkipPayloadSnapshot mutant: same scenario without the
@@ -151,18 +170,7 @@ INSTANTIATE_TEST_SUITE_P(
     Policies, FailureInjectionParity,
     ::testing::Values(AcceptancePolicy::kUniformRandom,
                       AcceptancePolicy::kSmallestId,
-                      AcceptancePolicy::kLargestId),
-    [](const ::testing::TestParamInfo<AcceptancePolicy>& param) {
-      switch (param.param) {
-        case AcceptancePolicy::kUniformRandom:
-          return "uniform";
-        case AcceptancePolicy::kSmallestId:
-          return "smallest_id";
-        case AcceptancePolicy::kLargestId:
-          return "largest_id";
-      }
-      return "unknown";
-    });
+                      AcceptancePolicy::kLargestId));
 
 TEST(FailureInjectionParity, ClassicalModeMatchesUnderDrops) {
   // Classical mode takes the unbounded-accepts branch in both engines; the
