@@ -1,9 +1,10 @@
 // Fixed-size thread pool plus deterministic parallel-for helpers.
 //
 // The simulator runs one trial per task (single-threaded inside a trial for
-// determinism); the pool fans trials out across cores. parallel_for assigns
-// indices to tasks statically so the result layout never depends on
-// scheduling, and exceptions from workers are captured and rethrown on the
+// determinism); the pool fans trials out across cores. parallel_for's
+// workers claim indices one at a time, in ascending order, from a shared
+// counter; results are written by index, so their layout never depends on
+// scheduling. Exceptions from workers are captured and rethrown on the
 // caller thread (first one wins). A task submitted directly via submit()
 // that throws is captured too and rethrown by the next wait_idle() — a
 // throwing task never takes down a worker or the process.
@@ -58,7 +59,7 @@ class ThreadPool {
 };
 
 /// Runs body(i) for i in [0, count) using `pool`, blocking until complete.
-/// Indices are dealt in contiguous chunks; any exception is rethrown here.
+/// Workers claim indices in ascending order; any exception is rethrown here.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& body);
 

@@ -15,12 +15,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <deque>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <random>
 #include <set>
 #include <stop_token>
 #include <thread>
-#include <tuple>
 
 #include "core/assert.hpp"
 #include "core/rng.hpp"
@@ -549,32 +551,24 @@ int run_fabric_worker(std::unique_ptr<Transport> transport,
 // Coordinator
 // ---------------------------------------------------------------------------
 
-FabricCoordinator::FabricCoordinator(const obs::RunManifest& manifest,
-                                     FabricOptions options, Clock clock)
-    : options_(std::move(options)), clock_(std::move(clock)) {
-  if (options_.lease_ms == 0) throw FabricError("lease_ms must be >= 1");
-  if (options_.lease_batch == 0) {
+namespace {
+
+FabricOptions checked_coordinator_options(FabricOptions options) {
+  if (options.lease_ms == 0) throw FabricError("lease_ms must be >= 1");
+  if (options.lease_batch == 0) {
     throw FabricError("lease_batch must be >= 1");
   }
-  if (!clock_) clock_ = [] { return steady_now_ms(); };
-  manifest_fingerprint_ = obs::manifest_fingerprint(manifest.to_json());
-  const ResilienceOptions& resilience = options_.resilience;
-  if (resilience.journal_path.empty()) {
-    if (resilience.resume) {
-      throw FabricError("resume requires a journal path");
-    }
-    return;
-  }
-  if (resilience.resume) {
-    journal_ = TrialJournal::open(resilience.journal_path, &manifest,
-                                  resilience.storage,
-                                  resilience.journal_fsync);
-  } else {
-    journal_ = TrialJournal::create(resilience.journal_path, manifest,
-                                    resilience.storage,
-                                    resilience.journal_fsync);
-  }
+  return options;
 }
+
+}  // namespace
+
+FabricCoordinator::FabricCoordinator(const obs::RunManifest& manifest,
+                                     FabricOptions options, Clock clock)
+    : options_(checked_coordinator_options(std::move(options))),
+      clock_(clock ? std::move(clock) : [] { return steady_now_ms(); }),
+      ledger_(manifest, options_.resilience),
+      manifest_fingerprint_(obs::manifest_fingerprint(manifest.to_json())) {}
 
 SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
                                    std::vector<WorkerEndpoint> workers,
@@ -582,7 +576,7 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
   if (workers.empty() && listener == nullptr) {
     throw FabricError("fabric needs at least one worker");
   }
-  using Key = std::pair<std::uint64_t, std::uint64_t>;
+  using Key = SweepLedger::Key;
 
   // Worker death policy, the transport's own rule: on a fork fabric (no
   // listener) socketpair EOF is death, so no liveness deadline is needed.
@@ -594,54 +588,16 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
           ? options_.liveness_ms
           : (listener != nullptr ? 2 * options_.lease_ms : 0);
 
-  SweepReport report;
-  if (journal_.has_value()) {
-    report.journal_fingerprint = journal_->fingerprint();
-  }
-
-  // First-wins index of durable results, exactly like SweepRunner's resume.
-  std::map<Key, JournalRecord> done;
-  if (journal_.has_value()) {
-    for (const JournalRecord& r : journal_->records()) {
-      done.emplace(Key{r.point, r.trial}, r);
-    }
-  }
-
-  std::vector<std::vector<RunResult>> results(points.size());
-  std::vector<std::vector<std::uint8_t>> have(points.size());
-  std::vector<std::size_t> point_remaining(points.size(), 0);
-  std::deque<Key> queue;  // point-major, trial-minor grant order
-  std::size_t pending = 0;
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    MTM_REQUIRE(points[p].trials >= 1);
-    MTM_REQUIRE(points[p].body != nullptr);
-    results[p].resize(points[p].trials);
-    have[p].assign(points[p].trials, 0);
-    for (std::size_t t = 0; t < points[p].trials; ++t) {
-      const auto it = done.find(Key{p, t});
-      if (it != done.end()) {
-        results[p][t] = it->second.result;
-        have[p][t] = 1;
-        ++report.resumed_trials;
-        if (it->second.quarantined) {
-          report.quarantined.push_back(
-              QuarantinedTrial{p, t, it->second.seed, it->second.attempts});
-        }
-      } else {
-        queue.emplace_back(p, t);
-        ++point_remaining[p];
-        ++pending;
-      }
-    }
-  }
+  const std::vector<Key> pending = ledger_.start(points);
+  std::deque<Key> queue(pending.begin(), pending.end());  // grant order
 
   // Chaos schedule: kill triggers are distinct positions in the result
   // stream, drawn from the first half so the drain path actually has work
   // left to redistribute. Deterministic in (chaos_seed, pending).
   std::vector<std::uint64_t> triggers;
-  if (options_.chaos_kills > 0 && pending > 0) {
+  if (options_.chaos_kills > 0 && !pending.empty()) {
     const std::uint64_t hi = std::max<std::uint64_t>(
-        options_.chaos_kills, static_cast<std::uint64_t>(pending) / 2);
+        options_.chaos_kills, static_cast<std::uint64_t>(pending.size()) / 2);
     Rng rng(derive_seed(options_.chaos_seed, {0xFABu}));
     std::set<std::uint64_t> picks;
     while (picks.size() < std::min<std::uint64_t>(options_.chaos_kills, hi)) {
@@ -707,36 +663,13 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
     }
   };
 
-  // Stores one completed trial (worker result, resumed, or fabricated
-  // quarantine): results slot, merged journal, report counters. First-wins.
-  const auto accept_record = [&](const JournalRecord& rec) {
-    if (rec.point >= points.size() ||
-        rec.trial >= points[rec.point].trials) {
-      return;
-    }
-    if (have[rec.point][rec.trial] != 0) {
-      ++stats_.duplicate_results_discarded;
-      return;
-    }
-    results[rec.point][rec.trial] = rec.result;
-    have[rec.point][rec.trial] = 1;
-    if (journal_.has_value()) journal_->append(rec);
-    ++report.executed_trials;
-    if (rec.attempts > 1) ++report.retried_trials;
-    if (rec.quarantined) {
-      report.quarantined.push_back(
-          QuarantinedTrial{rec.point, rec.trial, rec.seed, rec.attempts});
-    }
-    --pending;
-    // Checkpoint at point completion, the same squash cadence SweepRunner
-    // uses between points.
-    if (--point_remaining[rec.point] == 0 && journal_.has_value()) {
-      journal_->checkpoint();
-    }
+  // Lands a worker result or a fabricated quarantine record, first-wins.
+  const auto accept = [&](const JournalRecord& rec) {
+    if (!ledger_.accept(rec)) ++stats_.duplicate_results_discarded;
   };
 
   const auto requeue = [&](const Key& key) {
-    if (have[key.first][key.second] != 0) return;
+    if (ledger_.filled(key)) return;
     const std::uint32_t count = ++requeues[key];
     if (count > options_.max_requeues) {
       // The trial has now outlived max_requeues leases: treat it like a
@@ -750,8 +683,7 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
       rec.attempts = count;
       rec.quarantined = true;
       rec.result.converged = false;
-      rec.result.cancelled = true;
-      accept_record(rec);
+      accept(rec);
       return;
     }
     queue.push_front(key);
@@ -836,7 +768,7 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
           // will recompute the identical record from the same seed.
           ++stats_.late_results_discarded;
         } else {
-          accept_record(rec);
+          accept(rec);
           if (status == LeaseTable::CompleteStatus::kCompletedLease) {
             ++stats_.leases_completed;
             state[w].idle = true;
@@ -1000,7 +932,7 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
       }
     }
 
-    if (pending == 0) break;
+    if (ledger_.unfilled() == 0) break;
     if (interrupt != nullptr && interrupt->cancelled()) {
       interrupted = true;
       break;
@@ -1028,7 +960,7 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
           !state[w].connected) {
         continue;
       }
-      while (!queue.empty() && have[queue.front().first][queue.front().second] != 0) {
+      while (!queue.empty() && ledger_.filled(queue.front())) {
         queue.pop_front();
       }
       if (queue.empty()) break;
@@ -1038,9 +970,8 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
              queue.front().first == point) {
         const Key key = queue.front();
         queue.pop_front();
-        if (have[key.first][key.second] == 0) trials.push_back(key.second);
+        if (!ledger_.filled(key)) trials.push_back(key.second);
       }
-      if (trials.empty()) continue;
       const std::uint64_t id =
           leases.grant(static_cast<std::uint64_t>(w), point, trials, now);
       ++stats_.leases_granted;
@@ -1134,25 +1065,7 @@ SweepReport FabricCoordinator::run(const std::vector<SweepPoint>& points,
     reap(w);
   }
 
-  if (journal_.has_value()) journal_->checkpoint();
-
-  // Deterministic quarantine order regardless of arrival interleaving.
-  std::sort(report.quarantined.begin(), report.quarantined.end(),
-            [](const QuarantinedTrial& a, const QuarantinedTrial& b) {
-              return std::tie(a.point, a.trial) < std::tie(b.point, b.trial);
-            });
-
-  // Completed-prefix report, the SweepRunner contract: a point appears only
-  // when every one of its trials landed.
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    if (std::find(have[p].begin(), have[p].end(), 0) != have[p].end()) {
-      report.interrupted = true;
-      break;
-    }
-    report.points.push_back(std::move(results[p]));
-    report.labels.push_back(points[p].label);
-  }
-  if (interrupted) report.interrupted = true;
+  SweepReport report = ledger_.finish(interrupted);
 
   if (options_.metrics != nullptr) {
     obs::MetricRegistry& m = *options_.metrics;

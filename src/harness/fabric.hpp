@@ -11,11 +11,11 @@
 //
 //   * trial seeds derive only from (master seed, trial index) — never from
 //     which worker ran the trial or when;
-//   * results land in results[point][trial] index slots, so arrival order
-//     cannot reorder aggregation;
+//   * results land in (point, trial) slots of the same SweepLedger that
+//     SweepRunner uses, so arrival order cannot reorder aggregation;
 //   * duplicate deliveries (a lease expired, the trial was re-granted, and
-//     then BOTH executions reported) resolve first-wins per key, the same
-//     rule SweepRunner applies to resumed journals.
+//     then BOTH executions reported) resolve first-wins per key, the rule
+//     the ledger applies to resumed journals too.
 //
 // Robustness model:
 //
@@ -69,11 +69,8 @@
 #include <sys/types.h>
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -355,10 +352,10 @@ struct WorkerEndpoint {
   pid_t pid = -1;
 };
 
-/// The coordinator: owns the merged journal (created/resumed exactly like
-/// SweepRunner's), grants leases, merges results first-wins, and drives
-/// expiry/requeue/chaos. Single-threaded; the clock is injectable so tests
-/// can replay expiry schedules deterministically.
+/// The coordinator: grants leases and drives expiry/requeue/chaos; the
+/// merged journal, result slots and report are SweepRunner's SweepLedger.
+/// Single-threaded; the clock is injectable so tests can replay expiry
+/// schedules deterministically.
 class FabricCoordinator {
  public:
   using Clock = std::function<std::uint64_t()>;  ///< monotonic ms
@@ -383,12 +380,11 @@ class FabricCoordinator {
                   FabricListener* listener = nullptr);
 
   const FabricStats& stats() const noexcept { return stats_; }
-  bool journaling() const noexcept { return journal_.has_value(); }
 
  private:
   FabricOptions options_;
   Clock clock_;
-  std::optional<TrialJournal> journal_;
+  SweepLedger ledger_;
   FabricStats stats_;
   /// Expected hello fingerprint (manifest_fingerprint of the coordinator's
   /// manifest; remote workers rebuilt theirs from the same flags, and

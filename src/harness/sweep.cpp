@@ -4,9 +4,12 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
 #include <iostream>
-#include <map>
+#include <mutex>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "core/assert.hpp"
@@ -108,7 +111,7 @@ void ScalingSeries::report() const {
 }
 
 // ---------------------------------------------------------------------------
-// SweepRunner
+// SweepLedger and SweepRunner
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint64_t> SweepReport::quarantined_seeds() const {
@@ -118,22 +121,110 @@ std::vector<std::uint64_t> SweepReport::quarantined_seeds() const {
   return seeds;
 }
 
-SweepRunner::SweepRunner(const obs::RunManifest& manifest,
-                         ResilienceOptions options)
-    : options_(std::move(options)) {
-  if (options_.journal_path.empty()) {
-    MTM_REQUIRE_MSG(!options_.resume,
-                    "resume requires a journal path (ResilienceOptions)");
-    return;
+SweepLedger::SweepLedger(const obs::RunManifest& manifest,
+                         const ResilienceOptions& options) {
+  MTM_REQUIRE_MSG(!options.resume || !options.journal_path.empty(),
+                  "resume requires a journal path (ResilienceOptions)");
+  if (options.journal_path.empty()) return;
+  journal_ = options.resume
+                 ? TrialJournal::open(options.journal_path, &manifest,
+                                      options.storage, options.journal_fsync)
+                 : TrialJournal::create(options.journal_path, manifest,
+                                        options.storage, options.journal_fsync);
+}
+
+std::vector<SweepLedger::Key> SweepLedger::start(
+    const std::vector<SweepPoint>& points) {
+  report_ = SweepReport{};
+  filled_.assign(points.size(), {});
+  point_missing_.assign(points.size(), 0);
+  unfilled_ = 0;
+  appended_ = false;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    MTM_REQUIRE(points[p].trials >= 1);
+    MTM_REQUIRE(points[p].body != nullptr);
+    report_.points.emplace_back(points[p].trials);
+    report_.labels.push_back(points[p].label);
+    filled_[p].assign(points[p].trials, 0);
+    point_missing_[p] = points[p].trials;
+    unfilled_ += points[p].trials;
   }
-  if (options_.resume) {
-    journal_ = TrialJournal::open(options_.journal_path, &manifest,
-                                  options_.storage, options_.journal_fsync);
-  } else {
-    journal_ = TrialJournal::create(options_.journal_path, manifest,
-                                    options_.storage, options_.journal_fsync);
+  // First wins per (point, trial): a duplicate can only come from a crashed
+  // retry wave or a re-granted lease, and the first record is the one the
+  // original run would have produced.
+  if (journal_.has_value()) {
+    for (const JournalRecord& r : journal_->records()) {
+      if (r.point < filled_.size() && r.trial < filled_[r.point].size() &&
+          !filled({r.point, r.trial})) {
+        fill(r);
+        ++report_.resumed_trials;
+      }
+    }
+  }
+  std::vector<Key> pending;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    for (std::size_t t = 0; t < points[p].trials; ++t) {
+      if (!filled({p, t})) pending.emplace_back(p, t);
+    }
+  }
+  return pending;
+}
+
+void SweepLedger::fill(const JournalRecord& record) {
+  RunResult& slot = report_.points[record.point][record.trial];
+  slot = record.result;
+  slot.cancelled = record.quarantined;
+  filled_[record.point][record.trial] = 1;
+  --point_missing_[record.point];
+  --unfilled_;
+  if (record.quarantined) {
+    report_.quarantined.push_back(QuarantinedTrial{
+        record.point, record.trial, record.seed, record.attempts});
   }
 }
+
+bool SweepLedger::accept(const JournalRecord& record) {
+  MTM_REQUIRE(record.point < filled_.size() &&
+              record.trial < filled_[record.point].size());
+  if (filled({record.point, record.trial})) return false;
+  fill(record);
+  ++report_.executed_trials;
+  if (record.attempts > 1) ++report_.retried_trials;
+  if (journal_.has_value()) {
+    journal_->append(record);
+    appended_ = true;
+    if (point_missing_[record.point] == 0) {
+      journal_->checkpoint();
+      appended_ = false;
+    }
+  }
+  return true;
+}
+
+SweepReport SweepLedger::finish(bool interrupted) {
+  if (appended_) {
+    journal_->checkpoint();
+    appended_ = false;
+  }
+  SweepReport report = std::exchange(report_, SweepReport{});
+  if (journal_.has_value()) report.journal_fingerprint = journal_->fingerprint();
+  std::sort(report.quarantined.begin(), report.quarantined.end(),
+            [](const QuarantinedTrial& a, const QuarantinedTrial& b) {
+              return std::tie(a.point, a.trial) < std::tie(b.point, b.trial);
+            });
+  std::size_t completed = 0;
+  while (completed < point_missing_.size() && point_missing_[completed] == 0) {
+    ++completed;
+  }
+  report.points.resize(completed);
+  report.labels.resize(completed);
+  report.interrupted = interrupted || completed < point_missing_.size();
+  return report;
+}
+
+SweepRunner::SweepRunner(const obs::RunManifest& manifest,
+                         ResilienceOptions options)
+    : options_(std::move(options)), ledger_(manifest, options_) {}
 
 namespace {
 
@@ -186,85 +277,69 @@ JournalRecord execute_sweep_trial(const SweepPoint& point,
 SweepReport SweepRunner::run(const std::vector<SweepPoint>& points,
                              std::size_t threads) {
   MTM_REQUIRE(threads >= 1);
-  SweepReport report;
-  if (journal_.has_value()) report.journal_fingerprint = journal_->fingerprint();
-
-  // First-wins index of durable results per (point, trial), copied out of
-  // the journal (append() reallocates its record vector, so references into
-  // it would dangle). Duplicate keys can only arise from a crashed retry
-  // wave; the first record is the one the original run would have produced.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, JournalRecord> done;
-  if (journal_.has_value()) {
-    for (const JournalRecord& r : journal_->records()) {
-      done.emplace(std::make_pair(r.point, r.trial), r);
-    }
-  }
-
+  const std::vector<SweepLedger::Key> pending = ledger_.start(points);
   TrialWatchdog watchdog(
       WatchdogOptions{options_.trial_deadline_ms, /*poll_ms=*/5});
-  std::atomic<bool> interrupted{false};
 
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    const SweepPoint& point = points[p];
-    MTM_REQUIRE(point.trials >= 1);
-    MTM_REQUIRE(point.body != nullptr);
-
-    std::vector<RunResult> results(point.trials);
-    std::vector<std::uint8_t> have(point.trials, 0);
-    std::vector<std::size_t> pending;
-    for (std::size_t t = 0; t < point.trials; ++t) {
-      const auto it = done.find({p, t});
-      if (it != done.end()) {
-        results[t] = it->second.result;
-        have[t] = 1;
-        ++report.resumed_trials;
-        if (it->second.quarantined) {
-          report.quarantined.push_back(QuarantinedTrial{
-              p, t, it->second.seed, it->second.attempts});
+  // Pool threads run the trials, claiming them in canonical order across
+  // point boundaries, and hand each record to this thread, the ledger's
+  // only user: a checkpoint's journal-sized buffer, made on each pool
+  // thread in turn, would stay resident in every thread's malloc arena.
+  // Once `stop` is set (a trial was interrupted or threw, or landing one
+  // threw) no more trials are claimed.
+  std::mutex mutex;
+  std::condition_variable handed;
+  std::vector<JournalRecord> finished;  // guarded by mutex
+  bool done = false;                    // guarded by mutex
+  std::atomic<bool> stop{false};
+  std::exception_ptr error;
+  std::jthread pool([&] {
+    try {
+      parallel_for(threads, pending.size(), [&](std::size_t i) {
+        if (stop.load(std::memory_order_relaxed)) return;
+        const auto [p, t] = pending[i];
+        bool interrupted = false;
+        JournalRecord rec;
+        try {
+          rec = execute_sweep_trial(points[p], p, t, watchdog, options_,
+                                    &interrupted);
+        } catch (...) {
+          stop.store(true, std::memory_order_relaxed);
+          throw;
         }
-      } else {
-        pending.push_back(t);
-      }
-    }
-
-    std::mutex report_mutex;  // guards report counters + quarantine list
-    parallel_for(threads, pending.size(), [&](std::size_t i) {
-      if (interrupted.load(std::memory_order_relaxed)) return;
-      const std::size_t t = pending[i];
-      bool trial_interrupted = false;
-      const JournalRecord rec = execute_sweep_trial(
-          point, p, t, watchdog, options_, &trial_interrupted);
-      if (trial_interrupted) {
-        interrupted.store(true, std::memory_order_relaxed);
-        return;
-      }
-      results[t] = rec.result;
-      have[t] = 1;
-      if (journal_.has_value()) journal_->append(rec);
-      {
-        std::lock_guard<std::mutex> lock(report_mutex);
-        ++report.executed_trials;
-        if (rec.attempts > 1) ++report.retried_trials;
-        if (rec.quarantined) {
-          report.quarantined.push_back(
-              QuarantinedTrial{p, t, rec.seed, rec.attempts});
+        if (interrupted) {
+          stop.store(true, std::memory_order_relaxed);
+          return;
         }
-      }
-    });
-
-    // Squash the journal to a whole-record-clean state at the checkpoint
-    // boundary, even when we are about to stop early.
-    if (journal_.has_value()) journal_->checkpoint();
-
-    if (interrupted.load(std::memory_order_relaxed) ||
-        std::find(have.begin(), have.end(), 0) != have.end()) {
-      report.interrupted = true;
-      break;
+        std::lock_guard<std::mutex> lock(mutex);
+        finished.push_back(std::move(rec));
+        handed.notify_one();
+      });
+    } catch (...) {
+      error = std::current_exception();
     }
-    report.points.push_back(std::move(results));
-    report.labels.push_back(point.label);
+    std::lock_guard<std::mutex> lock(mutex);
+    done = true;
+    handed.notify_one();
+  });
+  try {
+    std::unique_lock<std::mutex> lock(mutex);
+    for (;;) {
+      handed.wait(lock, [&] { return done || !finished.empty(); });
+      if (finished.empty()) break;
+      const std::vector<JournalRecord> batch = std::exchange(finished, {});
+      lock.unlock();
+      for (const JournalRecord& rec : batch) ledger_.accept(rec);
+      lock.lock();
+    }
+  } catch (...) {
+    stop.store(true, std::memory_order_relaxed);
+    throw;
   }
-  return report;
+  pool.join();
+  if (error) std::rethrow_exception(error);
+  // Nothing threw, so a stopped sweep was interrupted.
+  return ledger_.finish(stop.load(std::memory_order_relaxed));
 }
 
 }  // namespace mtm

@@ -6,13 +6,15 @@
 // layers crash-safe checkpointing (harness/checkpoint.hpp), per-trial
 // watchdog deadlines with retry/backoff/quarantine (harness/watchdog.hpp),
 // and cooperative SIGINT/SIGTERM shutdown (harness/interrupt.hpp) on top of
-// the plain run_trials fan-out.
+// the plain run_trials fan-out, and SweepLedger, the bookkeeping it shares
+// with the fabric coordinator (harness/fabric.hpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/stats.hpp"
@@ -74,7 +76,7 @@ class ScalingSeries {
 
 /// One unit of sweep work: `trials` Monte-Carlo trials of `body`, each fed
 /// the fully derived trial seed trial_seed(master_seed, t). Points are the
-/// checkpoint granularity — the journal is squashed after each one.
+/// checkpoint granularity (see SweepLedger).
 struct SweepPoint {
   std::string label;             ///< annotation for reports/logs
   std::size_t trials = 0;        ///< >= 1
@@ -107,7 +109,7 @@ struct SweepReport {
   std::size_t executed_trials = 0;
   /// Trials that needed more than one attempt.
   std::size_t retried_trials = 0;
-  /// Deadline-killed trials that exhausted their retry budget.
+  /// Deadline-killed trials out of retries, sorted by (point, trial).
   std::vector<QuarantinedTrial> quarantined;
   /// True when SIGINT/SIGTERM stopped the sweep early; `points` then holds
   /// only the fully completed prefix and the caller should mark its bench
@@ -133,11 +135,53 @@ JournalRecord execute_sweep_trial(const SweepPoint& point,
                                   const ResilienceOptions& options,
                                   bool* interrupted);
 
+/// The bookkeeping both sweep drivers share, SweepRunner's pool threads and
+/// FabricCoordinator's leases: the journal, opened or created from
+/// ResilienceOptions; the (point, trial) result slots, filled first-wins
+/// from the journal by start() and then by accept(); and the report. The
+/// journal is checkpointed when a point's last missing trial lands, and by
+/// finish() only if something was appended since. A journal line carries
+/// `quarantined` but not `cancelled`, and a journaled trial was cancelled
+/// exactly when it was quarantined, so a slot's `cancelled` is set from the
+/// record's quarantine flag whichever path the record took. Not
+/// thread-safe: each driver uses its ledger from one thread.
+class SweepLedger {
+ public:
+  using Key = std::pair<std::uint64_t, std::uint64_t>;  ///< (point, trial)
+
+  /// Throws JournalError on an unusable or mismatched journal.
+  SweepLedger(const obs::RunManifest& manifest,
+              const ResilienceOptions& options);
+
+  /// Starts a sweep over `points`; returns its missing trials in canonical
+  /// (point-major, trial-minor) order.
+  std::vector<Key> start(const std::vector<SweepPoint>& points);
+  bool filled(const Key& key) const {
+    return filled_[key.first][key.second] != 0;
+  }
+  std::size_t unfilled() const noexcept { return unfilled_; }
+  /// Lands an executed trial; false, recording nothing, when its slot is
+  /// already filled.
+  bool accept(const JournalRecord& record);
+  /// The report, cut to the longest prefix of completed points; a missing
+  /// trial marks it interrupted, as does `interrupted`.
+  SweepReport finish(bool interrupted);
+
+ private:
+  void fill(const JournalRecord& record);
+
+  std::optional<TrialJournal> journal_;
+  SweepReport report_;  ///< every point's slots and labels, counters
+  std::vector<std::vector<std::uint8_t>> filled_;
+  std::vector<std::size_t> point_missing_;
+  std::size_t unfilled_ = 0;
+  bool appended_ = false;  ///< since the last checkpoint
+};
+
 /// Drives a sequence of SweepPoints with durability and liveness guarantees:
 ///
 ///   * every finished trial is appended to the journal (when configured)
-///     the moment it completes, and the journal is checkpointed (squashed
-///     atomically) after each point;
+///     the moment it completes, with SweepLedger's checkpoint rule;
 ///   * resumed journal records satisfy trials first-wins per (point, trial)
 ///     — the body is only invoked for missing trials;
 ///   * each attempt runs under a watchdog lease; deadline-killed attempts
@@ -145,10 +189,11 @@ JournalRecord execute_sweep_trial(const SweepPoint& point,
 ///   * the process interrupt token stops the sweep between rounds/trials;
 ///     interrupted (incomplete) trials are never journaled.
 ///
-/// Trials within a point run in parallel on `threads` workers; points are
-/// sequential. Results are deterministic in (master_seed, trial index)
-/// regardless of thread count, retries, or how many times the sweep was
-/// interrupted and resumed.
+/// `threads` workers claim the missing trials of all points in canonical
+/// order, across point boundaries, and stop once a trial is interrupted or
+/// throws; the calling thread lands their records in the ledger. Results
+/// are deterministic in (master_seed, trial index) regardless of thread
+/// count, retries, or how many times the sweep was interrupted and resumed.
 class SweepRunner {
  public:
   /// `manifest` keys the journal; see ResilienceOptions for the rest.
@@ -159,12 +204,9 @@ class SweepRunner {
   SweepReport run(const std::vector<SweepPoint>& points,
                   std::size_t threads = 1);
 
-  bool journaling() const noexcept { return journal_.has_value(); }
-  const ResilienceOptions& options() const noexcept { return options_; }
-
  private:
   ResilienceOptions options_;
-  std::optional<TrialJournal> journal_;
+  SweepLedger ledger_;
 };
 
 }  // namespace mtm

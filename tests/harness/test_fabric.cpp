@@ -23,65 +23,12 @@
 #include <vector>
 
 #include "obs/manifest.hpp"
+#include "sweep_fixtures.hpp"
 
 namespace mtm {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
-
-obs::RunManifest fabric_manifest(std::uint64_t seed = 11) {
-  obs::RunManifest manifest = obs::make_run_manifest("fabric_test", seed, 1);
-  obs::JsonValue config = obs::JsonValue::object();
-  config.set("kind", obs::JsonValue::string("synthetic"));
-  manifest.config = std::move(config);
-  return manifest;
-}
-
-/// Deterministic synthetic trial: every field a pure function of the seed,
-/// so a worker-executed trial and a local one are trivially comparable.
-RunResult synthetic_result(std::uint64_t seed) {
-  RunResult r;
-  r.rounds = seed % 97 + 1;
-  r.converged = true;
-  r.rounds_after_last_activation = r.rounds;
-  r.connections = seed % 31;
-  r.proposals = seed % 17;
-  return r;
-}
-
-std::vector<SweepPoint> synthetic_points(std::size_t points,
-                                         std::size_t trials,
-                                         std::uint64_t master) {
-  std::vector<SweepPoint> out;
-  for (std::size_t p = 0; p < points; ++p) {
-    SweepPoint point;
-    point.label = "p" + std::to_string(p);
-    point.trials = trials;
-    point.master_seed = master + p;
-    point.body = [](std::uint64_t seed, const TrialCancel*) {
-      return synthetic_result(seed);
-    };
-    out.push_back(std::move(point));
-  }
-  return out;
-}
-
-void expect_same_results(const SweepReport& a, const SweepReport& b) {
-  ASSERT_EQ(a.points.size(), b.points.size());
-  for (std::size_t p = 0; p < a.points.size(); ++p) {
-    ASSERT_EQ(a.points[p].size(), b.points[p].size());
-    for (std::size_t t = 0; t < a.points[p].size(); ++t) {
-      const RunResult& x = a.points[p][t];
-      const RunResult& y = b.points[p][t];
-      EXPECT_EQ(x.rounds, y.rounds) << "point " << p << " trial " << t;
-      EXPECT_EQ(x.converged, y.converged);
-      EXPECT_EQ(x.connections, y.connections);
-      EXPECT_EQ(x.proposals, y.proposals);
-    }
-  }
-}
+using namespace fixtures;
 
 /// The wire line a worker would send for (point, trial): the same checksummed
 /// journal serialization real workers produce from execute_sweep_trial.
@@ -287,7 +234,7 @@ TEST(LeaseTable, ExpireWorkerDrainsOnlyThatWorkerAndIdsNeverRecycle) {
 // ---------------------------------------------------------------------------
 
 TEST(Fabric, LoopbackWorkersReproduceSweepRunnerByteForByte) {
-  const obs::RunManifest manifest = fabric_manifest();
+  const obs::RunManifest manifest = sweep_manifest();
   const std::vector<SweepPoint> points = synthetic_points(3, 4, 300);
 
   SweepRunner control(manifest, ResilienceOptions{});
@@ -342,7 +289,7 @@ TEST(Fabric, LoopbackWorkersReproduceSweepRunnerByteForByte) {
 }
 
 TEST(Fabric, LateResultAfterExpiryIsDiscardedDeterministically) {
-  const obs::RunManifest manifest = fabric_manifest();
+  const obs::RunManifest manifest = sweep_manifest();
   const std::vector<SweepPoint> points = synthetic_points(1, 2, 400);
 
   // Injected clock: the scripted worker advances time instead of sleeping,
@@ -415,7 +362,7 @@ TEST(Fabric, LateResultAfterExpiryIsDiscardedDeterministically) {
 TEST(Fabric, WorkerKilledMidBatchDrainsThenResumeCompletes) {
   const std::string journal = temp_path("fabric_death.jsonl");
   std::remove(journal.c_str());
-  const obs::RunManifest manifest = fabric_manifest();
+  const obs::RunManifest manifest = sweep_manifest();
   const std::vector<SweepPoint> points = synthetic_points(1, 2, 500);
 
   SweepRunner control(manifest, ResilienceOptions{});
@@ -494,7 +441,7 @@ TEST(Fabric, WorkerKilledMidBatchDrainsThenResumeCompletes) {
 }
 
 TEST(Fabric, RequeueBudgetExhaustionQuarantinesTheTrial) {
-  const obs::RunManifest manifest = fabric_manifest();
+  const obs::RunManifest manifest = sweep_manifest();
   const std::vector<SweepPoint> points = synthetic_points(1, 2, 600);
 
   auto now = std::make_shared<std::atomic<std::uint64_t>>(1);
@@ -625,7 +572,7 @@ TEST(SeqWindow, AcceptsEachSeqOnceToleratesReorderAndRejectsZero) {
 }
 
 TEST(Fabric, ForkedFabricSeversHelloWithoutSessionOrMatchingFingerprint) {
-  const obs::RunManifest manifest = fabric_manifest();
+  const obs::RunManifest manifest = sweep_manifest();
   const std::vector<SweepPoint> points = synthetic_points(2, 3, 850);
 
   SweepRunner control(manifest, ResilienceOptions{});
@@ -649,7 +596,7 @@ TEST(Fabric, ForkedFabricSeversHelloWithoutSessionOrMatchingFingerprint) {
   no_fingerprint.seq = 1;
   FabricMessage wrong_fingerprint = no_fingerprint;
   wrong_fingerprint.session = 12;
-  wrong_fingerprint.fingerprint = fingerprint_of(fabric_manifest(12));
+  wrong_fingerprint.fingerprint = fingerprint_of(sweep_manifest(12));
 
   std::vector<WorkerEndpoint> endpoints;
   std::vector<std::unique_ptr<Transport>> refused;
@@ -723,7 +670,7 @@ TEST(LeaseTable, LivenessDeadlineIsStrictlyPastAndReportsOnce) {
 // ---------------------------------------------------------------------------
 
 TEST(Fabric, LoopbackWorkersUnderWireFaultsReproduceSweepRunnerByteForByte) {
-  const obs::RunManifest manifest = fabric_manifest();
+  const obs::RunManifest manifest = sweep_manifest();
   const std::vector<SweepPoint> points = synthetic_points(3, 4, 800);
 
   SweepRunner control(manifest, ResilienceOptions{});
@@ -807,7 +754,7 @@ class ManualListener final : public FabricListener {
 };
 
 TEST(Fabric, ReconnectMidLeaseResumesWithoutRequeueAndDropsWireDuplicates) {
-  const obs::RunManifest manifest = fabric_manifest();
+  const obs::RunManifest manifest = sweep_manifest();
   const std::vector<SweepPoint> points = synthetic_points(1, 2, 900);
 
   FabricOptions options;
@@ -878,7 +825,7 @@ TEST(Fabric, ReconnectMidLeaseResumesWithoutRequeueAndDropsWireDuplicates) {
 }
 
 TEST(Fabric, HalfOpenWorkerIsDeclaredDeadByLivenessAndTrialsRequeue) {
-  const obs::RunManifest manifest = fabric_manifest();
+  const obs::RunManifest manifest = sweep_manifest();
   const std::vector<SweepPoint> points = synthetic_points(1, 2, 950);
 
   FabricOptions options;
@@ -933,7 +880,7 @@ TEST(Fabric, HalfOpenWorkerIsDeclaredDeadByLivenessAndTrialsRequeue) {
 // ---------------------------------------------------------------------------
 
 TEST(Fabric, TcpWorkersUnderWireChaosReproduceSweepRunnerByteForByte) {
-  const obs::RunManifest manifest = fabric_manifest();
+  const obs::RunManifest manifest = sweep_manifest();
   // The trials carry a few ms of (result-neutral) work each: an instant
   // sweep can drain entirely before the severing worker's reconnect lands,
   // which would make the reconnect assertion below a coin flip on slow

@@ -18,66 +18,12 @@
 #include "harness/storage.hpp"
 #include "harness/sweep.hpp"
 #include "obs/metrics.hpp"
+#include "sweep_fixtures.hpp"
 
 namespace mtm {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + name;
-}
-
-obs::RunManifest sweep_manifest(std::uint64_t seed = 11) {
-  obs::RunManifest manifest = obs::make_run_manifest("storage_crash_test",
-                                                     seed, 1);
-  obs::JsonValue config = obs::JsonValue::object();
-  config.set("kind", obs::JsonValue::string("synthetic"));
-  manifest.config = std::move(config);
-  return manifest;
-}
-
-/// Deterministic synthetic trial: every field a pure function of the seed,
-/// so a resumed and a fresh execution are trivially comparable.
-RunResult synthetic_result(std::uint64_t seed) {
-  RunResult r;
-  r.rounds = seed % 97 + 1;
-  r.converged = true;
-  r.rounds_after_last_activation = r.rounds;
-  r.connections = seed % 31;
-  r.proposals = seed % 17;
-  return r;
-}
-
-std::vector<SweepPoint> synthetic_points(std::size_t points,
-                                         std::size_t trials,
-                                         std::uint64_t master) {
-  std::vector<SweepPoint> out;
-  for (std::size_t p = 0; p < points; ++p) {
-    SweepPoint point;
-    point.label = "p" + std::to_string(p);
-    point.trials = trials;
-    point.master_seed = master + p;
-    point.body = [](std::uint64_t seed, const TrialCancel*) {
-      return synthetic_result(seed);
-    };
-    out.push_back(std::move(point));
-  }
-  return out;
-}
-
-void expect_same_results(const SweepReport& a, const SweepReport& b) {
-  ASSERT_EQ(a.points.size(), b.points.size());
-  for (std::size_t p = 0; p < a.points.size(); ++p) {
-    ASSERT_EQ(a.points[p].size(), b.points[p].size());
-    for (std::size_t t = 0; t < a.points[p].size(); ++t) {
-      const RunResult& x = a.points[p][t];
-      const RunResult& y = b.points[p][t];
-      EXPECT_EQ(x.rounds, y.rounds) << "point " << p << " trial " << t;
-      EXPECT_EQ(x.converged, y.converged);
-      EXPECT_EQ(x.connections, y.connections);
-      EXPECT_EQ(x.proposals, y.proposals);
-    }
-  }
-}
+using namespace fixtures;
 
 constexpr std::size_t kPoints = 2;
 constexpr std::size_t kTrials = 4;

@@ -1,76 +1,32 @@
 // SweepRunner: resume merges journaled trials byte-identically, watchdog
 // deadlines retry then quarantine without stalling sibling trials, the
 // interrupt token stops the sweep without journaling incomplete work, and
-// journal seeds match the run_trials derivation.
+// journal seeds match the run_trials derivation. Threads claim trials across
+// point boundaries. Through both sweep drivers, SweepRunner and the fabric
+// coordinator: the quarantine list is sorted, resuming a complete journal
+// writes nothing, and a quarantined trial reads cancelled on every path.
 #include "harness/sweep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include "harness/fabric.hpp"
+#include "harness/storage.hpp"
+#include "sweep_fixtures.hpp"
 
 namespace mtm {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
-
-obs::RunManifest sweep_manifest(std::uint64_t seed = 11) {
-  obs::RunManifest manifest = obs::make_run_manifest("sweep_test", seed, 1);
-  obs::JsonValue config = obs::JsonValue::object();
-  config.set("kind", obs::JsonValue::string("synthetic"));
-  manifest.config = std::move(config);
-  return manifest;
-}
-
-/// Deterministic synthetic trial: every field a pure function of the seed,
-/// so resumed and fresh executions are trivially comparable.
-RunResult synthetic_result(std::uint64_t seed) {
-  RunResult r;
-  r.rounds = seed % 97 + 1;
-  r.converged = true;
-  r.rounds_after_last_activation = r.rounds;
-  r.connections = seed % 31;
-  r.proposals = seed % 17;
-  return r;
-}
-
-std::vector<SweepPoint> synthetic_points(std::size_t points,
-                                         std::size_t trials,
-                                         std::uint64_t master) {
-  std::vector<SweepPoint> out;
-  for (std::size_t p = 0; p < points; ++p) {
-    SweepPoint point;
-    point.label = "p" + std::to_string(p);
-    point.trials = trials;
-    point.master_seed = master + p;
-    point.body = [](std::uint64_t seed, const TrialCancel*) {
-      return synthetic_result(seed);
-    };
-    out.push_back(std::move(point));
-  }
-  return out;
-}
-
-void expect_same_results(const SweepReport& a, const SweepReport& b) {
-  ASSERT_EQ(a.points.size(), b.points.size());
-  for (std::size_t p = 0; p < a.points.size(); ++p) {
-    ASSERT_EQ(a.points[p].size(), b.points[p].size());
-    for (std::size_t t = 0; t < a.points[p].size(); ++t) {
-      const RunResult& x = a.points[p][t];
-      const RunResult& y = b.points[p][t];
-      EXPECT_EQ(x.rounds, y.rounds) << "point " << p << " trial " << t;
-      EXPECT_EQ(x.converged, y.converged);
-      EXPECT_EQ(x.connections, y.connections);
-      EXPECT_EQ(x.proposals, y.proposals);
-    }
-  }
-}
+using namespace fixtures;
 
 TEST(SweepRunner, RunsWithoutJournalAndMatchesTrialSeedDerivation) {
   SweepRunner runner(sweep_manifest(), ResilienceOptions{});
@@ -211,6 +167,204 @@ TEST(SweepRunner, ResumedQuarantineIsNotReexecuted) {
   EXPECT_EQ(report.resumed_trials, 1u);
   ASSERT_EQ(report.quarantined.size(), 1u);
   EXPECT_EQ(report.quarantined[0].attempts, 3u);
+  std::remove(journal.c_str());
+}
+
+TEST(SweepRunner, NextPointStartsWhileThePreviousPointsLastTrialRuns) {
+  // Two single-trial points on two threads: point 0's trial waits for point
+  // 1's to start. A barrier after each point would leave it waiting alone
+  // until the bound runs out.
+  std::mutex mutex;
+  std::condition_variable started;
+  bool second_started = false;
+  bool overlapped = false;
+  std::vector<SweepPoint> points = synthetic_points(2, 1, 60);
+  points[0].body = [&](std::uint64_t seed, const TrialCancel*) {
+    std::unique_lock<std::mutex> lock(mutex);
+    overlapped = started.wait_for(lock, std::chrono::seconds(5),
+                                  [&] { return second_started; });
+    return synthetic_result(seed);
+  };
+  points[1].body = [&](std::uint64_t seed, const TrialCancel*) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      second_started = true;
+    }
+    started.notify_all();
+    return synthetic_result(seed);
+  };
+  const SweepReport report =
+      SweepRunner(sweep_manifest(), ResilienceOptions{}).run(points, 2);
+  EXPECT_TRUE(overlapped) << "point 1 did not start while point 0 ran";
+  EXPECT_FALSE(report.interrupted);
+  expect_same_results(report,
+                      SweepRunner(sweep_manifest(), ResilienceOptions{})
+                          .run(synthetic_points(2, 1, 60), 1));
+}
+
+/// Runs `points` on `coordinator` with one in-process worker on a loopback
+/// transport, under the same options.
+SweepReport run_with_loopback_worker(FabricCoordinator& coordinator,
+                                     const std::vector<SweepPoint>& points,
+                                     const FabricOptions& options) {
+  auto [coord_side, worker_side] = make_loopback_transport();
+  std::vector<WorkerEndpoint> endpoints;
+  endpoints.push_back(WorkerEndpoint{std::move(coord_side), -1});
+  int exit_code = -1;
+  std::thread worker([&, transport = std::move(worker_side)]() mutable {
+    FabricWorkerSession session;
+    session.id = 1;
+    exit_code = run_fabric_worker(std::move(transport), points,
+                                  sweep_manifest(), options, session);
+  });
+  SweepReport report = coordinator.run(points, std::move(endpoints));
+  worker.join();
+  EXPECT_EQ(exit_code, 0);
+  return report;
+}
+
+/// One point of `trials` synthetic trials whose trial `wedged` spins until
+/// the watchdog cancels it, on every attempt.
+SweepPoint point_with_wedged_trial(std::size_t trials, std::uint64_t master,
+                                   std::uint64_t wedged) {
+  SweepPoint point = synthetic_points(1, trials, master).front();
+  const std::uint64_t wedged_seed = trial_seed(master, wedged);
+  point.body = [wedged_seed](std::uint64_t seed, const TrialCancel* cancel) {
+    if (seed != wedged_seed) return synthetic_result(seed);
+    while (cancel == nullptr || !cancel->cancelled()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    RunResult r;
+    r.cancelled = true;
+    return r;
+  };
+  return point;
+}
+
+using Key = std::pair<std::uint64_t, std::uint64_t>;  // (point, trial)
+
+std::vector<Key> quarantined_keys(const SweepReport& report) {
+  std::vector<Key> keys;
+  for (const QuarantinedTrial& q : report.quarantined) {
+    keys.emplace_back(q.point, q.trial);
+  }
+  return keys;
+}
+
+TEST(SweepLedger, BothDriversListResumedAndNewQuarantineInPointTrialOrder) {
+  // The journal holds a quarantined (0,1); this run quarantines (0,0). Both
+  // drivers list them by (point, trial), not resumed-first.
+  const std::uint64_t master = 70;
+  const std::vector<SweepPoint> points = {
+      point_with_wedged_trial(2, master, /*wedged=*/0)};
+  const auto seed_journal = [&](const std::string& path) {
+    TrialJournal journal = TrialJournal::create(path, sweep_manifest());
+    JournalRecord rec;
+    rec.point = 0;
+    rec.trial = 1;
+    rec.seed = trial_seed(master, 1);
+    rec.attempts = 2;
+    rec.quarantined = true;
+    journal.append(rec);
+  };
+  ResilienceOptions options;
+  options.resume = true;
+  options.trial_deadline_ms = 25;
+
+  const std::string local = temp_path("ledger_quarantine_local.jsonl");
+  seed_journal(local);
+  options.journal_path = local;
+  const SweepReport report = SweepRunner(sweep_manifest(), options).run(points);
+
+  const std::string fabric = temp_path("ledger_quarantine_fabric.jsonl");
+  seed_journal(fabric);
+  options.journal_path = fabric;
+  FabricOptions fabric_options;
+  fabric_options.lease_ms = 60000;
+  fabric_options.resilience = options;
+  FabricCoordinator coordinator(sweep_manifest(), fabric_options);
+  const SweepReport fabric_report =
+      run_with_loopback_worker(coordinator, points, fabric_options);
+
+  const std::vector<Key> sorted = {{0, 0}, {0, 1}};
+  EXPECT_EQ(quarantined_keys(report), sorted);
+  EXPECT_EQ(quarantined_keys(fabric_report), sorted);
+  EXPECT_EQ(report.resumed_trials, 1u);
+  EXPECT_EQ(report.executed_trials, 1u);
+  expect_same_results(report, fabric_report);
+  std::remove(local.c_str());
+  std::remove(fabric.c_str());
+}
+
+TEST(SweepLedger, BothDriversResumeACompleteJournalWithoutStorageOps) {
+  // Nothing is appended, so nothing needs a checkpoint: after the open, a
+  // resume of a complete 4-point journal touches storage not at all.
+  const std::vector<SweepPoint> points = synthetic_points(4, 2, 80);
+  const std::string journal = temp_path("ledger_complete.jsonl");
+  ResilienceOptions write;
+  write.journal_path = journal;
+  const SweepReport written = SweepRunner(sweep_manifest(), write).run(points);
+
+  FaultyStorage storage(default_storage(), StorageFaultConfig{});
+  ResilienceOptions resume = write;
+  resume.resume = true;
+  resume.storage = &storage;
+
+  SweepRunner runner(sweep_manifest(), resume);
+  std::uint64_t after_open = storage.op_count();
+  const SweepReport local = runner.run(points, 2);
+  EXPECT_EQ(storage.op_count(), after_open) << "SweepRunner";
+  EXPECT_EQ(local.resumed_trials, 8u);
+  EXPECT_EQ(local.executed_trials, 0u);
+  expect_same_results(written, local);
+
+  FabricOptions fabric_options;
+  fabric_options.lease_ms = 60000;
+  fabric_options.resilience = resume;
+  FabricCoordinator coordinator(sweep_manifest(), fabric_options);
+  after_open = storage.op_count();
+  const SweepReport fabric =
+      run_with_loopback_worker(coordinator, points, fabric_options);
+  EXPECT_EQ(storage.op_count(), after_open) << "FabricCoordinator";
+  EXPECT_EQ(fabric.resumed_trials, 8u);
+  expect_same_results(written, fabric);
+  std::remove(journal.c_str());
+}
+
+TEST(SweepLedger, QuarantinedTrialReadsCancelledOnEveryPath) {
+  // The journal line has no cancelled field. A quarantined trial must still
+  // read cancelled whether it ran in-process, was resumed, or was
+  // delivered by a fabric worker.
+  const std::vector<SweepPoint> points = {
+      point_with_wedged_trial(2, 90, /*wedged=*/1)};
+  const std::string journal = temp_path("ledger_cancelled.jsonl");
+  ResilienceOptions options;
+  options.journal_path = journal;
+  options.trial_deadline_ms = 25;
+
+  const SweepReport local = SweepRunner(sweep_manifest(), options).run(points);
+  ASSERT_EQ(local.points.size(), 1u);
+  EXPECT_TRUE(local.points[0][1].cancelled) << "in-process";
+
+  options.resume = true;
+  const SweepReport resumed =
+      SweepRunner(sweep_manifest(), options).run(points);
+  ASSERT_EQ(resumed.points.size(), 1u);
+  EXPECT_TRUE(resumed.points[0][1].cancelled) << "resumed";
+
+  FabricOptions fabric_options;
+  fabric_options.lease_ms = 60000;
+  fabric_options.resilience = options;
+  fabric_options.resilience.journal_path.clear();
+  fabric_options.resilience.resume = false;
+  FabricCoordinator coordinator(sweep_manifest(), fabric_options);
+  const SweepReport delivered =
+      run_with_loopback_worker(coordinator, points, fabric_options);
+  ASSERT_EQ(delivered.points.size(), 1u);
+  EXPECT_TRUE(delivered.points[0][1].cancelled) << "worker-delivered";
+
+  expect_same_results(local, resumed);
+  expect_same_results(local, delivered);
   std::remove(journal.c_str());
 }
 
