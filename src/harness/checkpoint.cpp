@@ -1,5 +1,11 @@
 #include "harness/checkpoint.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <limits>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -10,28 +16,122 @@ namespace {
 
 using obs::JsonValue;
 
-/// Canonical (pre-checksum) serialization of one record. Field order is
-/// pinned forever: the checksum is recomputed from this exact layout on
-/// load, so reordering a field would invalidate every journal on disk.
-JsonValue record_json(const JournalRecord& r) {
-  JsonValue doc = JsonValue::object();
-  doc.set("point", JsonValue::unsigned_number(r.point));
-  doc.set("trial", JsonValue::unsigned_number(r.trial));
-  doc.set("seed", JsonValue::unsigned_number(r.seed));
-  doc.set("rounds", JsonValue::unsigned_number(r.result.rounds));
-  doc.set("converged", JsonValue::boolean(r.result.converged));
-  doc.set("after_activation",
-          JsonValue::unsigned_number(r.result.rounds_after_last_activation));
-  doc.set("connections", JsonValue::unsigned_number(r.result.connections));
-  doc.set("proposals", JsonValue::unsigned_number(r.result.proposals));
-  doc.set("invariant_violations",
-          JsonValue::unsigned_number(r.result.invariant_violations));
-  doc.set("split_brain_rounds",
-          JsonValue::unsigned_number(r.result.split_brain_rounds));
-  doc.set("attempts", JsonValue::unsigned_number(r.attempts));
-  doc.set("quarantined", JsonValue::boolean(r.quarantined));
-  return doc;
+/// The pinned record layout: the twelve fields in their on-disk order, as
+/// `{"point":P,"trial":T,...,"quarantined":B` with no whitespace and
+/// canonical values (decimal without leading zeros, true/false), then
+/// `,"crc":"<16 hex digits>"}`. The crc covers the line's bytes before it
+/// plus a closing '}', i.e. the twelve-field object on its own. Reordering,
+/// renaming or re-spelling a field would invalidate every journal on disk.
+template <typename Record, typename Visit>
+void visit_record_fields(Record& r, Visit&& visit) {
+  visit("point", r.point);
+  visit("trial", r.trial);
+  visit("seed", r.seed);
+  visit("rounds", r.result.rounds);
+  visit("converged", r.result.converged);
+  visit("after_activation", r.result.rounds_after_last_activation);
+  visit("connections", r.result.connections);
+  visit("proposals", r.result.proposals);
+  visit("invariant_violations", r.result.invariant_violations);
+  visit("split_brain_rounds", r.result.split_brain_rounds);
+  visit("attempts", r.attempts);
+  visit("quarantined", r.quarantined);
 }
+
+constexpr std::string_view kCrcKey = ",\"crc\":\"";
+constexpr std::string_view kCrcEnd = "\"}";
+
+std::array<char, 16> hex_digits(std::uint64_t value) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::array<char, 16> out{};
+  for (std::size_t i = out.size(); i-- > 0; value >>= 4) {
+    out[i] = kHex[value & 0xf];
+  }
+  return out;
+}
+
+/// Appends the record's fields to a line in the pinned layout.
+struct RecordWriter {
+  std::string& line;
+
+  template <typename T>
+  void operator()(std::string_view key, const T& value) {
+    line += line.empty() ? '{' : ',';
+    line += '"';
+    line += key;
+    line += "\":";
+    if constexpr (std::is_same_v<T, bool>) {
+      line += value ? "true" : "false";
+    } else {
+      char digits[20];
+      const auto [end, ec] = std::to_chars(digits, digits + sizeof digits, value);
+      line.append(digits, end);
+    }
+  }
+};
+
+/// Reads a line of the pinned layout. Any departure from it — a field
+/// renamed, moved or missing, whitespace, a sign or leading zero, a value
+/// out of range — throws, as a checksum mismatch does.
+class RecordScanner {
+ public:
+  explicit RecordScanner(std::string_view line) : line_(line) {}
+
+  template <typename T>
+  void operator()(std::string_view key, T& value) {
+    expect(pos_ == 0 ? "{\"" : ",\"");
+    expect(key);
+    expect("\":");
+    if constexpr (std::is_same_v<T, bool>) {
+      value = rest().substr(0, 4) == "true";
+      expect(value ? "true" : "false");
+    } else {
+      const char* begin = line_.data() + pos_;
+      std::uint64_t parsed = 0;
+      const auto [end, ec] =
+          std::from_chars(begin, line_.data() + line_.size(), parsed);
+      // from_chars accepts leading zeros; the layout does not.
+      if (ec != std::errc{} || (*begin == '0' && end - begin > 1) ||
+          parsed > std::numeric_limits<T>::max()) {
+        fail();
+      }
+      value = static_cast<T>(parsed);
+      pos_ = static_cast<std::size_t>(end - line_.data());
+    }
+  }
+
+  /// After the twelve fields: the crc must be the digest of the bytes so
+  /// far plus '}', and end the line.
+  void expect_crc() {
+    const std::uint64_t crc = obs::fnv1a64("}", obs::fnv1a64(rest_before()));
+    expect(kCrcKey);
+    const std::array<char, 16> digits = hex_digits(crc);
+    if (rest().substr(0, digits.size()) !=
+        std::string_view(digits.data(), digits.size())) {
+      throw JournalError("journal record: checksum mismatch");
+    }
+    pos_ += digits.size();
+    expect(kCrcEnd);
+    if (pos_ != line_.size()) fail();
+  }
+
+ private:
+  std::string_view rest() const { return line_.substr(pos_); }
+  std::string_view rest_before() const { return line_.substr(0, pos_); }
+
+  void expect(std::string_view text) {
+    if (rest().substr(0, text.size()) != text) fail();
+    pos_ += text.size();
+  }
+
+  [[noreturn]] void fail() const {
+    throw JournalError("journal record: not in the record layout at byte " +
+                       std::to_string(pos_));
+  }
+
+  std::string_view line_;
+  std::size_t pos_ = 0;
+};
 
 JsonValue header_json(const std::string& fingerprint,
                       const JsonValue& manifest) {
@@ -42,79 +142,28 @@ JsonValue header_json(const std::string& fingerprint,
   return doc;
 }
 
-std::string with_crc(JsonValue doc) {
-  const std::string crc = obs::fnv1a64_hex(doc.dump());
-  doc.set("crc", JsonValue::string(crc));
+std::string header_line(const std::string& fingerprint,
+                        const JsonValue& manifest) {
+  JsonValue doc = header_json(fingerprint, manifest);
+  doc.set("crc", JsonValue::string(obs::fnv1a64_hex(doc.dump())));
   return doc.dump();
-}
-
-const JsonValue& require_field(const JsonValue& doc, const char* key) {
-  const JsonValue* v = doc.find(key);
-  if (v == nullptr) {
-    throw JournalError(std::string("journal record missing field '") + key +
-                       "'");
-  }
-  return *v;
-}
-
-std::uint64_t require_u64(const JsonValue& doc, const char* key) {
-  const JsonValue& v = require_field(doc, key);
-  if (v.kind() != JsonValue::Kind::kUnsigned) {
-    throw JournalError(std::string("journal field '") + key +
-                       "' must be an unsigned integer");
-  }
-  return v.as_u64();
-}
-
-bool require_bool(const JsonValue& doc, const char* key) {
-  const JsonValue& v = require_field(doc, key);
-  if (!v.is_bool()) {
-    throw JournalError(std::string("journal field '") + key +
-                       "' must be a boolean");
-  }
-  return v.as_bool();
-}
-
-/// Verifies the "crc" field of a parsed line against the canonical
-/// re-serialization `canonical` (the document minus its crc).
-void check_crc(const JsonValue& parsed, const JsonValue& canonical,
-               const char* what) {
-  const JsonValue* crc = parsed.find("crc");
-  if (crc == nullptr || !crc->is_string()) {
-    throw JournalError(std::string(what) + ": missing crc");
-  }
-  if (crc->as_string() != obs::fnv1a64_hex(canonical.dump())) {
-    throw JournalError(std::string(what) + ": checksum mismatch");
-  }
 }
 
 Storage& resolve_storage(Storage* storage) {
   return storage != nullptr ? *storage : default_storage();
 }
 
-std::vector<std::string> read_lines(Storage& storage,
-                                    const std::string& path) {
-  std::string text;
-  try {
-    text = storage.read_file(path);
-  } catch (const StorageError& e) {
-    throw JournalError("cannot open journal: " + path + ": " + e.what());
-  }
-  // getline semantics: a trailing newline does not produce an empty final
-  // line, and a final line without one is still returned.
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find('\n', start);
-    std::string line = text.substr(
-        start, end == std::string::npos ? std::string::npos : end - start);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (end == std::string::npos) {
-      if (!line.empty()) lines.push_back(std::move(line));
-      break;
-    }
-    lines.push_back(std::move(line));
-    start = end + 1;
+/// getline semantics over `text`: a trailing newline does not produce an
+/// empty final line, a final line without one is still returned, and a
+/// trailing '\r' is not part of its line.
+std::vector<std::string_view> split_lines(std::string_view text) {
+  std::vector<std::string_view> lines;
+  while (!text.empty()) {
+    const std::size_t end = std::min(text.find('\n'), text.size());
+    std::string_view line = text.substr(0, end);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    lines.push_back(line);
+    text.remove_prefix(std::min(end + 1, text.size()));
   }
   return lines;
 }
@@ -122,38 +171,35 @@ std::vector<std::string> read_lines(Storage& storage,
 }  // namespace
 
 std::string journal_record_line(const JournalRecord& record) {
-  return with_crc(record_json(record));
+  std::string line;
+  line.reserve(320);
+  visit_record_fields(record, RecordWriter{line});
+  line += '}';
+  const std::array<char, 16> crc = hex_digits(obs::fnv1a64(line));
+  line.pop_back();
+  line += kCrcKey;
+  line.append(crc.data(), crc.size());
+  line += kCrcEnd;
+  return line;
 }
 
-JournalRecord parse_journal_record(const std::string& line) {
-  JsonValue doc = JsonValue::object();
-  try {
-    doc = obs::parse_json(line);
-  } catch (const std::exception& e) {
-    throw JournalError(std::string("unparseable journal record: ") + e.what());
-  }
-  if (!doc.is_object()) throw JournalError("journal record must be an object");
+JournalRecord parse_journal_record(std::string_view line) {
   JournalRecord r;
-  r.point = require_u64(doc, "point");
-  r.trial = require_u64(doc, "trial");
-  r.seed = require_u64(doc, "seed");
-  r.result.rounds = require_u64(doc, "rounds");
-  r.result.converged = require_bool(doc, "converged");
-  r.result.rounds_after_last_activation = require_u64(doc, "after_activation");
-  r.result.connections = require_u64(doc, "connections");
-  r.result.proposals = require_u64(doc, "proposals");
-  r.result.invariant_violations = require_u64(doc, "invariant_violations");
-  r.result.split_brain_rounds = require_u64(doc, "split_brain_rounds");
-  r.attempts = static_cast<std::uint32_t>(require_u64(doc, "attempts"));
-  r.quarantined = require_bool(doc, "quarantined");
-  check_crc(doc, record_json(r), "journal record");
+  RecordScanner scanner(line);
+  visit_record_fields(r, scanner);
+  scanner.expect_crc();
   return r;
 }
 
 TrialJournal::Contents TrialJournal::load(const std::string& path,
                                           Storage* storage) {
-  const std::vector<std::string> lines =
-      read_lines(resolve_storage(storage), path);
+  std::string text;
+  try {
+    text = resolve_storage(storage).read_file(path);
+  } catch (const StorageError& e) {
+    throw JournalError("cannot open journal: " + path + ": " + e.what());
+  }
+  const std::vector<std::string_view> lines = split_lines(text);
   if (lines.empty()) throw JournalError("empty journal: " + path);
 
   Contents contents;
@@ -163,7 +209,7 @@ TrialJournal::Contents TrialJournal::load(const std::string& path,
     // record, which only loses one trial).
     JsonValue doc = JsonValue::object();
     try {
-      doc = obs::parse_json(lines.front());
+      doc = obs::parse_json(std::string(lines.front()));
     } catch (const std::exception& e) {
       throw JournalError(std::string("corrupt journal header: ") + e.what());
     }
@@ -179,12 +225,20 @@ TrialJournal::Contents TrialJournal::load(const std::string& path,
         manifest == nullptr || !manifest->is_object()) {
       throw JournalError("journal header missing fingerprint/manifest");
     }
-    check_crc(doc, header_json(fingerprint->as_string(), *manifest),
-              "journal header");
+    const JsonValue* crc = doc.find("crc");
+    if (crc == nullptr || !crc->is_string()) {
+      throw JournalError("journal header: missing crc");
+    }
+    const JsonValue canonical =
+        header_json(fingerprint->as_string(), *manifest);
+    if (crc->as_string() != obs::fnv1a64_hex(canonical.dump())) {
+      throw JournalError("journal header: checksum mismatch");
+    }
     contents.fingerprint = fingerprint->as_string();
     contents.manifest = *manifest;
   }
 
+  contents.records.reserve(lines.size() - 1);
   for (std::size_t i = 1; i < lines.size(); ++i) {
     try {
       contents.records.push_back(parse_journal_record(lines[i]));
@@ -217,7 +271,7 @@ TrialJournal TrialJournal::create(const std::string& path,
                               journal.serialized())) {
     throw JournalError("cannot write journal: " + path);
   }
-  journal.reopen_append();
+  journal.open_append();
   return journal;
 }
 
@@ -254,12 +308,12 @@ TrialJournal TrialJournal::open(const std::string& path,
                               journal.serialized())) {
     throw JournalError("cannot rewrite journal: " + path);
   }
-  journal.reopen_append();
+  journal.open_append();
   return journal;
 }
 
 std::string TrialJournal::serialized() const {
-  std::string text = with_crc(header_json(fingerprint_, manifest_));
+  std::string text = header_line(fingerprint_, manifest_);
   text += '\n';
   for (const JournalRecord& record : records_) {
     text += journal_record_line(record);
@@ -268,19 +322,28 @@ std::string TrialJournal::serialized() const {
   return text;
 }
 
-void TrialJournal::reopen_append() {
+void TrialJournal::open_append() {
   try {
     out_ = storage_->open(path_, Storage::OpenMode::kAppend);
   } catch (const StorageError& e) {
     throw JournalError("cannot append to journal: " + path_ + ": " +
                        e.what());
   }
-  unsynced_appends_ = 0;
+}
+
+void TrialJournal::throw_if_poisoned() const {
+  if (poisoned_) {
+    throw JournalError("journal poisoned by an earlier failed write: " +
+                       path_ + " (a torn record may end the file; resume "
+                       "from it to drop that record)");
+  }
 }
 
 void TrialJournal::append(const JournalRecord& record) {
-  const std::string line = journal_record_line(record) + "\n";
+  std::string line = journal_record_line(record);
+  line += '\n';
   std::lock_guard<std::mutex> lock(*mutex_);
+  throw_if_poisoned();
   try {
     out_->append(line);
     ++unsynced_appends_;
@@ -296,8 +359,11 @@ void TrialJournal::append(const JournalRecord& record) {
     // ENOSPC/EIO/poisoned fsync: the caller believes this record is
     // committed, so the failure must be loud — a silent drop here would
     // surface much later as a resumed sweep quietly re-running (or worse,
-    // missing) trials. StorageCrash is not caught: simulated power loss
-    // propagates as itself.
+    // missing) trials. The torn bytes stay in the file, and one more
+    // record after them would make them interior corruption, so the
+    // journal takes no further write. StorageCrash is not caught:
+    // simulated power loss propagates as itself.
+    poisoned_ = true;
     throw JournalError("journal append failed: " + path_ + ": " + e.what());
   }
   records_.push_back(record);
@@ -305,18 +371,18 @@ void TrialJournal::append(const JournalRecord& record) {
 
 void TrialJournal::checkpoint() {
   std::lock_guard<std::mutex> lock(*mutex_);
-  // Close the append handle before renaming over the file. A close failure
-  // is loud too: buffered-at-the-kernel errors can surface here.
+  throw_if_poisoned();
+  if (unsynced_appends_ == 0) return;
   try {
-    std::unique_ptr<StorageFile> out = std::move(out_);
-    if (out != nullptr) out->close();
+    out_->fsync();
   } catch (const StorageError& e) {
-    throw JournalError("journal close failed: " + path_ + ": " + e.what());
+    // fsyncgate: the un-synced bytes may already be gone, so no later
+    // write may pretend they are there.
+    poisoned_ = true;
+    throw JournalError("journal checkpoint failed: " + path_ + ": " +
+                       e.what());
   }
-  if (!obs::write_text_atomic(*storage_, path_, serialized())) {
-    throw JournalError("cannot checkpoint journal: " + path_);
-  }
-  reopen_append();
+  unsynced_appends_ = 0;
 }
 
 }  // namespace mtm

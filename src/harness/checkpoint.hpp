@@ -9,22 +9,30 @@
 //     version, the run-manifest fingerprint (obs::manifest_fingerprint) and
 //     the full manifest echo; every following line is one completed trial's
 //     JournalRecord;
-//   * per-record checksum — every line carries a "crc" field (FNV-1a 64 of
-//     the record serialized without it). On load, a bad checksum on the
-//     LAST line means the process died mid-append: the truncated tail is
-//     dropped and the journal is still usable. A bad checksum anywhere
-//     else means real corruption and loading aborts with JournalError —
-//     silently skipping interior records would change aggregates;
-//   * atomic checkpoint — checkpoint() rewrites the validated contents via
-//     temp-file + rename (obs::write_text_atomic), so the on-disk file is
-//     periodically squashed back to a provably intact state;
+//   * per-record checksum — every record line has one pinned layout (see
+//     journal_record_line) ending in a "crc" field: FNV-1a 64 of the record
+//     serialized without it. On load, a line that fails its checksum or
+//     departs from the layout is, when it is the LAST line, the signature
+//     of a process that died mid-append: that tail is dropped and the
+//     journal is still usable. Anywhere else it means real corruption and
+//     loading aborts with JournalError — silently skipping interior
+//     records would change aggregates;
+//   * checkpoint as a durability barrier — checkpoint() fsyncs the append
+//     handle if anything was appended since the last fsync, and does
+//     nothing otherwise, so a sweep writes each journal byte once. Only
+//     create() and open() write the file whole (temp-file + rename,
+//     obs::write_text_atomic); open()'s rewrite squashes a dropped tail
+//     out of it before the first append;
 //   * storage routing — every byte flows through a harness/storage.hpp
 //     Storage (default_storage() unless one is passed in), so the
 //     FaultyStorage chaos backend can exercise this exact code under torn
 //     writes, ENOSPC, failed fsync, and crash points. A failed append
-//     throws JournalError carrying path + errno (never a silent drop), and
-//     the JournalFsyncPolicy decides when appended records reach stable
-//     storage (record | batch:N | none; checkpoints are always durable);
+//     throws JournalError carrying path + errno (never a silent drop) and
+//     poisons the journal: its bytes may stay in the file as a torn tail,
+//     so every later append() or checkpoint() throws too. The
+//     JournalFsyncPolicy decides when appended records reach stable
+//     storage (record | batch:N | none; a checkpoint makes every earlier
+//     append durable);
 //   * fingerprint keying — resuming against a journal whose fingerprint
 //     does not match the current run's manifest is a hard error carrying a
 //     manifest_diff of the two configurations. Trial seeds derive only from
@@ -40,6 +48,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/storage.hpp"
@@ -110,12 +119,13 @@ class TrialJournal {
   /// fsync per the journal's JournalFsyncPolicy. A write or fsync failure
   /// (ENOSPC, EIO, poisoned file) throws JournalError carrying the path
   /// and errno — a record the caller believes committed is never silently
-  /// dropped. Thread-safe.
+  /// dropped — and poisons the journal. Thread-safe.
   void append(const JournalRecord& record);
 
-  /// Atomically rewrites the whole journal (header + records) via
-  /// temp-file + rename and reopens the append stream. Call between sweep
-  /// points / segments; cheap at harness scale.
+  /// Durability barrier: fsyncs the append handle if anything was appended
+  /// since the last fsync, and otherwise does no storage op. Call between
+  /// sweep points / segments. A failed fsync poisons the journal. Throws
+  /// JournalError naming the path once the journal is poisoned.
   void checkpoint();
 
   /// Records loaded at open() plus everything appended since, in durable
@@ -134,7 +144,8 @@ class TrialJournal {
 
  private:
   TrialJournal() = default;
-  void reopen_append();
+  void open_append();
+  void throw_if_poisoned() const;
   std::string serialized() const;
 
   std::string path_;
@@ -144,14 +155,21 @@ class TrialJournal {
   Storage* storage_ = nullptr;  // never null after create()/open()
   JournalFsyncPolicy fsync_policy_;
   std::uint32_t unsynced_appends_ = 0;
+  bool poisoned_ = false;  // a write failed; no further write is taken
   std::unique_ptr<StorageFile> out_;  // append handle
   std::unique_ptr<std::mutex> mutex_ = std::make_unique<std::mutex>();
 };
 
 /// One journal line for `record` (checksummed, no trailing newline) and its
-/// inverse. Exposed for the corruption tests; throws JournalError on a
-/// malformed or checksum-failing line.
+/// inverse. The layout is pinned: `{"point":P,"trial":T,"seed":S,
+/// "rounds":R,"converged":B,"after_activation":A,"connections":C,
+/// "proposals":Q,"invariant_violations":I,"split_brain_rounds":K,
+/// "attempts":N,"quarantined":B,"crc":"<16 hex digits>"}` with no
+/// whitespace, decimal values without leading zeros, and the crc taken over
+/// the twelve-field object before it. parse_journal_record accepts exactly
+/// that layout and throws JournalError on any other line or a checksum
+/// failure. The fabric wire carries these lines as its result payload.
 std::string journal_record_line(const JournalRecord& record);
-JournalRecord parse_journal_record(const std::string& line);
+JournalRecord parse_journal_record(std::string_view line);
 
 }  // namespace mtm

@@ -283,8 +283,8 @@ SweepReport SweepRunner::run(const std::vector<SweepPoint>& points,
 
   // Pool threads run the trials, claiming them in canonical order across
   // point boundaries, and hand each record to this thread, the ledger's
-  // only user: a checkpoint's journal-sized buffer, made on each pool
-  // thread in turn, would stay resident in every thread's malloc arena.
+  // only user, so the ledger's slots, counters, appends and checkpoints
+  // need no lock.
   // Once `stop` is set (a trial was interrupted or threw, or landing one
   // threw) no more trials are claimed.
   std::mutex mutex;

@@ -102,12 +102,16 @@ std::size_t remove_orphan_temps(mtm::Storage& storage,
   return removed;
 }
 
-std::string fnv1a64_hex(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a64(std::string_view text, std::uint64_t hash) {
   for (const char c : text) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001b3ULL;
   }
+  return hash;
+}
+
+std::string fnv1a64_hex(const std::string& text) {
+  std::uint64_t hash = fnv1a64(text);
   static const char* kHex = "0123456789abcdef";
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {

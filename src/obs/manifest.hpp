@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "obs/json.hpp"
 
@@ -87,8 +88,14 @@ bool write_json_atomic(const std::string& path, const JsonValue& doc);
 std::size_t remove_orphan_temps(mtm::Storage& storage,
                                 const std::string& path);
 
-/// 16-hex-digit FNV-1a 64 digest of `text` — the checksum primitive shared
-/// by manifest fingerprints and the trial journal's per-record "crc" field.
+/// FNV-1a 64 of `text`, continuing from `hash`, so that one digest can run
+/// over several pieces — the checksum primitive shared by manifest
+/// fingerprints and the trial journal's per-record "crc" field.
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a64(std::string_view text,
+                      std::uint64_t hash = kFnv1a64Basis);
+
+/// 16-hex-digit (lowercase) form of fnv1a64(text).
 std::string fnv1a64_hex(const std::string& text);
 
 /// 16-hex-digit FNV-1a fingerprint of a manifest document (compact dump).

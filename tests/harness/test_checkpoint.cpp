@@ -1,6 +1,6 @@
 // TrialJournal: round-trip fidelity, checksum semantics (truncated tail
-// dropped, interior corruption refused), fingerprint keying, and the
-// atomic checkpoint squash.
+// dropped, interior corruption refused), fingerprint keying, the squash on
+// open, and the checkpoint as an fsync barrier.
 #include "harness/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include "harness/storage.hpp"
+#include "obs/metrics.hpp"
 
 namespace mtm {
 namespace {
@@ -261,6 +264,42 @@ TEST(TrialJournal, OpenSquashesTruncatedTailAndAppends) {
   const TrialJournal::Contents contents = TrialJournal::load(path);
   ASSERT_EQ(contents.records.size(), 2u);
   EXPECT_EQ(contents.records[1].trial, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(TrialJournal, CheckpointIsOneFsyncOfWhatIsUnsynced) {
+  // Under `none` nothing appended is synced until the checkpoint, which is
+  // then exactly one storage op — an fsync of the append handle, no
+  // rewrite and no rename. With nothing unsynced it does no op at all.
+  const std::string path = temp_path("journal_barrier.jsonl");
+  obs::MetricRegistry metrics;
+  FaultyStorage storage(default_storage(), StorageFaultConfig{}, &metrics);
+  TrialJournal journal = TrialJournal::create(
+      path, test_manifest(), &storage, parse_journal_fsync_policy("none"));
+  journal.append(sample_record(0, 0));
+  journal.append(sample_record(0, 1));
+  const std::uint64_t ops = storage.op_count();
+  const std::uint64_t fsyncs = metrics.counter("storage.fsyncs").value();
+  const std::uint64_t renames = metrics.counter("storage.renames").value();
+  journal.checkpoint();
+  EXPECT_EQ(storage.op_count(), ops + 1);
+  EXPECT_EQ(metrics.counter("storage.fsyncs").value(), fsyncs + 1);
+  EXPECT_EQ(metrics.counter("storage.renames").value(), renames);
+  journal.checkpoint();  // twice in a row: nothing left to sync
+  EXPECT_EQ(storage.op_count(), ops + 1);
+  std::remove(path.c_str());
+}
+
+TEST(TrialJournal, CheckpointAfterRecordPolicyAppendsIsNoStorageOp) {
+  const std::string path = temp_path("journal_barrier_record.jsonl");
+  FaultyStorage storage(default_storage(), StorageFaultConfig{});
+  TrialJournal journal = TrialJournal::create(
+      path, test_manifest(), &storage, parse_journal_fsync_policy("record"));
+  journal.append(sample_record(0, 0));
+  journal.append(sample_record(0, 1));
+  const std::uint64_t ops = storage.op_count();
+  journal.checkpoint();
+  EXPECT_EQ(storage.op_count(), ops);
   std::remove(path.c_str());
 }
 

@@ -101,27 +101,56 @@ TEST(StorageCrashEnumeration, EveryCrashPointResumesByteIdentically) {
   }
 }
 
+/// Runs `points` x `trials` through a fresh journaled sweep on one thread
+/// under `policy` and returns the resulting storage metric `counter`.
+std::uint64_t counter_after_sweep(const char* policy, std::size_t points,
+                                  std::size_t trials, const char* counter) {
+  const std::string journal = temp_path(std::string("policy_") + policy +
+                                        "_" + std::to_string(points) + "x" +
+                                        std::to_string(trials) + ".jsonl");
+  obs::MetricRegistry metrics;
+  FaultyStorage storage(default_storage(), StorageFaultConfig{}, &metrics);
+  ResilienceOptions options;
+  options.journal_path = journal;
+  options.storage = &storage;
+  options.journal_fsync = parse_journal_fsync_policy(policy);
+  SweepRunner runner(sweep_manifest(), options);
+  runner.run(synthetic_points(points, trials, kMaster), 1);
+  return metrics.counter(counter).value();
+}
+
 TEST(StorageCrashEnumeration, FsyncPolicyControlsAppendDurabilityCost) {
-  // record fsyncs every append, batch:4 every 4th, none never (only the
-  // atomic header/checkpoint rewrites fsync). The storage.fsyncs counter
-  // must reflect exactly that ordering — it is how an operator verifies the
-  // --journal-fsync knob actually reached the disk.
-  const auto fsyncs_with = [](const char* policy, const char* name) {
-    obs::MetricRegistry metrics;
-    FaultyStorage storage(default_storage(), StorageFaultConfig{}, &metrics);
-    ResilienceOptions options;
-    options.journal_path = temp_path(name);
-    options.storage = &storage;
-    options.journal_fsync = parse_journal_fsync_policy(policy);
-    SweepRunner runner(sweep_manifest(), options);
-    runner.run(synthetic_points(kPoints, kTrials, kMaster), 1);
-    return metrics.counter("storage.fsyncs").value();
+  // record fsyncs every append, batch:4 every 4th, none never; a point's
+  // checkpoint fsyncs only what is still unsynced, and the header's atomic
+  // write is one more fsync. The storage.fsyncs counter must reflect
+  // exactly that — it is how an operator verifies the --journal-fsync knob
+  // actually reached the disk.
+  const auto fsyncs = [](const char* policy, std::size_t points,
+                         std::size_t trials) {
+    return counter_after_sweep(policy, points, trials, "storage.fsyncs");
   };
-  const std::uint64_t record = fsyncs_with("record", "policy_record.jsonl");
-  const std::uint64_t batch = fsyncs_with("batch:4", "policy_batch.jsonl");
-  const std::uint64_t none = fsyncs_with("none", "policy_none.jsonl");
+  // 2 points x 4 trials: record 1 + 8; batch:4 1 + 2, each point's 4th
+  // append, which leaves its checkpoint nothing to sync; none 1 + 2, one
+  // per checkpoint.
+  EXPECT_EQ(fsyncs("record", kPoints, kTrials), 9u);
+  EXPECT_EQ(fsyncs("batch:4", kPoints, kTrials), 3u);
+  EXPECT_EQ(fsyncs("none", kPoints, kTrials), 3u);
+  // 1 point x 8 trials: record 1 + 8 > batch:4 1 + 2 > none 1 + 1.
+  const std::uint64_t record = fsyncs("record", 1, 8);
+  const std::uint64_t batch = fsyncs("batch:4", 1, 8);
+  const std::uint64_t none = fsyncs("none", 1, 8);
   EXPECT_GT(record, batch);
   EXPECT_GT(batch, none);
+}
+
+TEST(JournalDurability, FreshSweepWritesEachJournalByteOnce) {
+  // A checkpoint is an fsync of the append handle, not a rewrite, so a
+  // fresh sweep's storage writes are exactly the journal's final bytes: the
+  // header once, then every record once.
+  const std::string journal = temp_path("policy_batch:8_4x8.jsonl");
+  const std::uint64_t written =
+      counter_after_sweep("batch:8", 4, 8, "storage.append_bytes");
+  EXPECT_EQ(written, default_storage().file_size(journal));
 }
 
 TEST(JournalDurability, EnospcAppendThrowsJournalErrorNamingThePath) {
@@ -168,6 +197,112 @@ TEST(JournalDurability, EioAppendThrowsJournalErrorNamingThePath) {
   } catch (const JournalError& e) {
     EXPECT_NE(std::string(e.what()).find(journal), std::string::npos);
   }
+}
+
+TEST(JournalDurability, FailedAppendPoisonsTheJournal) {
+  // A torn append leaves its bytes in the file; one more record after them
+  // would turn them into interior corruption, which open() refuses. So
+  // after the failure the journal takes no write at all: append() and
+  // checkpoint() throw JournalError naming the path without a storage op,
+  // and the file still loads every record appended before the failure.
+  const std::string journal = temp_path("enospc_poison.jsonl");
+  StorageFaultConfig config;
+  config.enospc_after = 4000;  // as in EnospcAppendThrowsJournalErrorNamingThePath
+  FaultyStorage faulty(default_storage(), config);
+  TrialJournal trial_journal = TrialJournal::create(
+      journal, sweep_manifest(), &faulty, parse_journal_fsync_policy("none"));
+  std::vector<JournalRecord> landed;
+  for (std::uint64_t t = 0; t < 1000; ++t) {
+    JournalRecord record;
+    record.trial = t;
+    record.seed = trial_seed(kMaster, t);
+    record.result = synthetic_result(record.seed);
+    try {
+      trial_journal.append(record);
+    } catch (const JournalError&) {
+      break;
+    }
+    landed.push_back(record);
+  }
+  ASSERT_LT(landed.size(), 1000u) << "appends past the ENOSPC budget never failed";
+  ASSERT_GT(landed.size(), 0u);
+
+  const std::uint64_t ops = faulty.op_count();
+  const auto expect_poisoned = [&](const auto& write) {
+    try {
+      write();
+      ADD_FAILURE() << "a poisoned journal accepted a write";
+    } catch (const JournalError& e) {
+      EXPECT_NE(std::string(e.what()).find(journal), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_poisoned([&] { trial_journal.checkpoint(); });
+  expect_poisoned([&] { trial_journal.append(landed.front()); });
+  EXPECT_EQ(faulty.op_count(), ops);
+
+  const TrialJournal::Contents contents = TrialJournal::load(journal);
+  ASSERT_EQ(contents.records.size(), landed.size());
+  for (std::size_t i = 0; i < landed.size(); ++i) {
+    EXPECT_EQ(contents.records[i].trial, landed[i].trial);
+    EXPECT_EQ(contents.records[i].seed, landed[i].seed);
+  }
+}
+
+/// Crash-point enumeration as in EveryCrashPointResumesByteIdentically,
+/// under `policy`: a fault-free probe must make exactly `expected_ops`
+/// storage ops, and a crash after each of them must resume (or, where the
+/// header never became durable, restart) to the control's aggregates.
+void resume_every_crash_point(const char* policy, std::uint64_t expected_ops) {
+  SweepRunner control_runner(sweep_manifest(), ResilienceOptions{});
+  const SweepReport control =
+      control_runner.run(synthetic_points(kPoints, kTrials, kMaster), 1);
+  const auto run = [&](const std::string& journal, Storage* storage,
+                       bool resume) {
+    ResilienceOptions options;
+    options.journal_path = journal;
+    options.storage = storage;
+    options.resume = resume;
+    options.journal_fsync = parse_journal_fsync_policy(policy);
+    SweepRunner runner(sweep_manifest(), options);
+    return runner.run(synthetic_points(kPoints, kTrials, kMaster), 1);
+  };
+
+  FaultyStorage probe(default_storage(), StorageFaultConfig{});
+  expect_same_results(control,
+                      run(temp_path(std::string("crash_probe_") + policy),
+                          &probe, false));
+  ASSERT_EQ(probe.op_count(), expected_ops);
+
+  for (std::uint64_t n = 1; n < expected_ops; ++n) {
+    SCOPED_TRACE("crash after op " + std::to_string(n));
+    const std::string journal =
+        temp_path(std::string("crash_") + policy + "_" + std::to_string(n));
+    StorageFaultConfig config;
+    config.crash_after = n;
+    FaultyStorage faulty(default_storage(), config);
+    EXPECT_THROW(run(journal, &faulty, false), StorageCrash);
+    faulty.materialize_crash();
+    SweepReport resumed;
+    try {
+      resumed = run(journal, nullptr, true);
+    } catch (const JournalError&) {
+      resumed = run(journal, nullptr, false);
+    }
+    expect_same_results(control, resumed);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(StorageCrashEnumeration, EveryCrashPointResumesUnderRecordFsync) {
+  // create: temp open, write, fsync, rename, dir sync, append open (6);
+  // then an append and its fsync per trial (16); checkpoints sync nothing.
+  resume_every_crash_point("record", 22);
+}
+
+TEST(StorageCrashEnumeration, EveryCrashPointResumesUnderNoFsync) {
+  // create (6); 4 appends and one checkpoint fsync per point (10).
+  resume_every_crash_point("none", 16);
 }
 
 }  // namespace

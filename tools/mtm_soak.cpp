@@ -7,8 +7,8 @@
 // violation fails the soak (exit 2). The sweep is driven by SweepRunner, so
 // the soak inherits the whole resilience stack:
 //
-//   * --journal=PATH checkpoints every finished trial (squashed atomically
-//     after each segment); kill -9 the process and --resume=PATH continues
+//   * --journal=PATH appends every finished trial (made durable at the
+//     latest when its segment ends); kill -9 the process and --resume=PATH continues
 //     exactly where it stopped, with aggregates byte-identical to an
 //     uninterrupted run;
 //   * --trial-deadline-ms / --retries / --backoff-ms evict wedged trials
