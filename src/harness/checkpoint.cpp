@@ -16,11 +16,8 @@ namespace {
 
 using obs::JsonValue;
 
-/// The pinned record layout: the twelve fields in their on-disk order, as
-/// `{"point":P,"trial":T,...,"quarantined":B` with no whitespace and
-/// canonical values (decimal without leading zeros, true/false), then
-/// `,"crc":"<16 hex digits>"}`. The crc covers the line's bytes before it
-/// plus a closing '}', i.e. the twelve-field object on its own. Reordering,
+/// The twelve fields of the pinned record layout (see journal_record_line)
+/// in their on-disk order. The crc covers their bytes, so reordering,
 /// renaming or re-spelling a field would invalidate every journal on disk.
 template <typename Record, typename Visit>
 void visit_record_fields(Record& r, Visit&& visit) {
@@ -103,7 +100,8 @@ class RecordScanner {
   /// After the twelve fields: the crc must be the digest of the bytes so
   /// far plus '}', and end the line.
   void expect_crc() {
-    const std::uint64_t crc = obs::fnv1a64("}", obs::fnv1a64(rest_before()));
+    const std::uint64_t crc =
+        obs::fnv1a64("}", obs::fnv1a64(line_.substr(0, pos_)));
     expect(kCrcKey);
     const std::array<char, 16> digits = hex_digits(crc);
     if (rest().substr(0, digits.size()) !=
@@ -117,7 +115,6 @@ class RecordScanner {
 
  private:
   std::string_view rest() const { return line_.substr(pos_); }
-  std::string_view rest_before() const { return line_.substr(0, pos_); }
 
   void expect(std::string_view text) {
     if (rest().substr(0, text.size()) != text) fail();
@@ -140,13 +137,6 @@ JsonValue header_json(const std::string& fingerprint,
   doc.set("fingerprint", JsonValue::string(fingerprint));
   doc.set("manifest", manifest);
   return doc;
-}
-
-std::string header_line(const std::string& fingerprint,
-                        const JsonValue& manifest) {
-  JsonValue doc = header_json(fingerprint, manifest);
-  doc.set("crc", JsonValue::string(obs::fnv1a64_hex(doc.dump())));
-  return doc.dump();
 }
 
 Storage& resolve_storage(Storage* storage) {
@@ -313,7 +303,9 @@ TrialJournal TrialJournal::open(const std::string& path,
 }
 
 std::string TrialJournal::serialized() const {
-  std::string text = header_line(fingerprint_, manifest_);
+  JsonValue header = header_json(fingerprint_, manifest_);
+  header.set("crc", JsonValue::string(obs::fnv1a64_hex(header.dump())));
+  std::string text = header.dump();
   text += '\n';
   for (const JournalRecord& record : records_) {
     text += journal_record_line(record);
