@@ -101,13 +101,19 @@ TEST(StorageCrashEnumeration, EveryCrashPointResumesByteIdentically) {
   }
 }
 
+std::string policy_journal(const char* policy, std::size_t points,
+                           std::size_t trials) {
+  return temp_path(std::string("policy_") + policy + "_" +
+                   std::to_string(points) + "x" + std::to_string(trials) +
+                   ".jsonl");
+}
+
 /// Runs `points` x `trials` through a fresh journaled sweep on one thread
-/// under `policy` and returns the resulting storage metric `counter`.
+/// under `policy`, journaling to policy_journal(...), and returns the
+/// resulting storage metric `counter`.
 std::uint64_t counter_after_sweep(const char* policy, std::size_t points,
                                   std::size_t trials, const char* counter) {
-  const std::string journal = temp_path(std::string("policy_") + policy +
-                                        "_" + std::to_string(points) + "x" +
-                                        std::to_string(trials) + ".jsonl");
+  const std::string journal = policy_journal(policy, points, trials);
   obs::MetricRegistry metrics;
   FaultyStorage storage(default_storage(), StorageFaultConfig{}, &metrics);
   ResilienceOptions options;
@@ -147,10 +153,10 @@ TEST(JournalDurability, FreshSweepWritesEachJournalByteOnce) {
   // A checkpoint is an fsync of the append handle, not a rewrite, so a
   // fresh sweep's storage writes are exactly the journal's final bytes: the
   // header once, then every record once.
-  const std::string journal = temp_path("policy_batch:8_4x8.jsonl");
   const std::uint64_t written =
       counter_after_sweep("batch:8", 4, 8, "storage.append_bytes");
-  EXPECT_EQ(written, default_storage().file_size(journal));
+  EXPECT_EQ(written,
+            default_storage().file_size(policy_journal("batch:8", 4, 8)));
 }
 
 TEST(JournalDurability, EnospcAppendThrowsJournalErrorNamingThePath) {
