@@ -7,10 +7,10 @@
 // violation fails the soak (exit 2). The sweep is driven by SweepRunner, so
 // the soak inherits the whole resilience stack:
 //
-//   * --journal=PATH appends every finished trial (made durable at the
-//     latest when its segment ends); kill -9 the process and --resume=PATH continues
-//     exactly where it stopped, with aggregates byte-identical to an
-//     uninterrupted run;
+//   * --journal=PATH appends every finished trial (durable at the latest
+//     when its segment ends); kill -9 the process and --resume=PATH
+//     continues exactly where it stopped, with aggregates byte-identical
+//     to an uninterrupted run;
 //   * --trial-deadline-ms / --retries / --backoff-ms evict wedged trials
 //     cooperatively and quarantine seeds that never finish;
 //   * SIGINT/SIGTERM flush the journal and emit a valid partial mtm-bench/1
